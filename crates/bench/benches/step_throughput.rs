@@ -7,7 +7,7 @@
 //! * `instrumented` — `step_with` carrying real observers (lockstep
 //!   width + VCD), the full observer dispatch cost;
 //! * `compiled` — `Platform::step_tiered` on the compiled hot-block
-//!   tier, replaying translated traces with interpreter fallback.
+//!   tier: uniform lockstep batches, otherwise interpreter cycles.
 //!
 //! A regression that reintroduces per-cycle allocation or observer
 //! dispatch on the bare path shows up here directly.

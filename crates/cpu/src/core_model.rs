@@ -154,11 +154,13 @@ impl Core {
     }
 
     /// The core's hardware identity (0-based), as read by `RDID`.
+    #[inline]
     pub fn id(&self) -> u8 {
         self.id
     }
 
     /// Current program counter (word address).
+    #[inline]
     pub fn pc(&self) -> u16 {
         self.pc
     }
@@ -189,16 +191,19 @@ impl Core {
     }
 
     /// Current execution state.
+    #[inline]
     pub fn state(&self) -> CoreState {
         self.state
     }
 
     /// Whether the core has halted (normally or due to an error).
+    #[inline]
     pub fn is_halted(&self) -> bool {
         matches!(self.state, CoreState::Halted)
     }
 
     /// Whether the core is asleep.
+    #[inline]
     pub fn is_sleeping(&self) -> bool {
         matches!(self.state, CoreState::Sleeping)
     }
@@ -209,11 +214,13 @@ impl Core {
     }
 
     /// Accumulated activity counters.
+    #[inline]
     pub fn stats(&self) -> &CoreStats {
         &self.stats
     }
 
     /// Total cycles observed by this core (drives `RDCYC`).
+    #[inline]
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
@@ -229,7 +236,11 @@ impl Core {
     /// [`CoreState::Fetch`] or woken from an instruction sleep. Returns
     /// `true` if the interrupt was accepted (the PC now points at the
     /// interrupt vector).
+    #[inline]
     pub fn poll_interrupt(&mut self) -> bool {
+        if !self.irq_pending {
+            return false;
+        }
         let at_boundary = matches!(self.state, CoreState::Fetch)
             || (matches!(self.state, CoreState::Sleeping)
                 && self.sleep_origin == SleepOrigin::Instruction);
@@ -252,6 +263,7 @@ impl Core {
 
     /// The instruction-memory address this core wants to fetch, if it is in
     /// the fetch phase.
+    #[inline]
     pub fn fetch_request(&self) -> Option<u16> {
         match self.state {
             CoreState::Fetch => Some(self.pc),
@@ -265,6 +277,7 @@ impl Core {
     ///
     /// If the word does not decode, the core halts with
     /// [`CoreError::IllegalInstruction`] and the error is returned.
+    #[inline]
     pub fn on_fetch_granted(&mut self, word: u16) -> Result<(), CoreError> {
         debug_assert!(matches!(self.state, CoreState::Fetch), "not fetching");
         self.cycles += 1;
@@ -291,6 +304,7 @@ impl Core {
     /// Used by the compiled execution tier, whose traces carry the decoded
     /// form: the caller guarantees `instr` is the decoding of the word at
     /// the fetch address, so this path cannot fault.
+    #[inline]
     pub fn on_fetch_granted_decoded(&mut self, instr: Instr) {
         debug_assert!(matches!(self.state, CoreState::Fetch), "not fetching");
         self.cycles += 1;
@@ -300,6 +314,7 @@ impl Core {
     }
 
     /// Records a cycle spent waiting for a fetch grant (clock-gated).
+    #[inline]
     pub fn note_fetch_stall(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Fetch));
         self.cycles += 1;
@@ -312,6 +327,7 @@ impl Core {
     ///
     /// `SINC`/`SDEC` report a [`SyncRequest`] via [`Core::sync_request`]
     /// instead — their memory traffic goes through the synchronizer.
+    #[inline]
     pub fn mem_request(&self) -> Option<MemRequest> {
         let CoreState::Execute(instr) = self.state else {
             return None;
@@ -340,6 +356,7 @@ impl Core {
 
     /// The synchronization request of the current instruction, if it is
     /// part of the synchronization ISE.
+    #[inline]
     pub fn sync_request(&self) -> Option<SyncRequest> {
         let CoreState::Execute(instr) = self.state else {
             return None;
@@ -367,6 +384,7 @@ impl Core {
     /// Panics if the core is not in [`CoreState::Execute`], or if the
     /// instruction is `SINC`/`SDEC` (those complete via
     /// [`Core::complete_sync`]).
+    #[inline]
     pub fn complete_execute(&mut self, read: Option<u16>) {
         let CoreState::Execute(instr) = self.state else {
             panic!("complete_execute outside execute phase");
@@ -381,6 +399,7 @@ impl Core {
     }
 
     /// Records a cycle spent waiting for a data-memory grant (clock-gated).
+    #[inline]
     pub fn note_mem_stall(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Execute(_)));
         self.cycles += 1;
@@ -389,6 +408,7 @@ impl Core {
 
     /// The D-Xbar served this core but the enhanced serving policy holds it
     /// until its PC-synchronous group is fully served; read data is latched.
+    #[inline]
     pub fn hold_with_data(&mut self, data: Option<u16>) {
         let CoreState::Execute(instr) = self.state else {
             panic!("hold_with_data outside execute phase");
@@ -399,6 +419,7 @@ impl Core {
     }
 
     /// Records a cycle spent held by the enhanced serving policy.
+    #[inline]
     pub fn note_hold(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Held { .. }));
         self.cycles += 1;
@@ -407,6 +428,7 @@ impl Core {
 
     /// Releases a held core: the latched instruction completes and the core
     /// returns to fetch. Edge event — consumes no cycle.
+    #[inline]
     pub fn release(&mut self) {
         let CoreState::Held { instr, data } = self.state else {
             panic!("release without hold");
@@ -419,6 +441,7 @@ impl Core {
 
     /// The synchronizer accepted this core's request and starts its
     /// two-cycle read-modify-write (first cycle).
+    #[inline]
     pub fn on_sync_accepted(&mut self) {
         let CoreState::Execute(instr) = self.state else {
             panic!("on_sync_accepted outside execute phase");
@@ -430,6 +453,7 @@ impl Core {
     }
 
     /// Second (write) cycle of the synchronizer operation.
+    #[inline]
     pub fn note_sync_active(&mut self) {
         debug_assert!(matches!(self.state, CoreState::SyncIssued(_)));
         self.cycles += 1;
@@ -437,6 +461,7 @@ impl Core {
     }
 
     /// Records a cycle spent queued behind the synchronizer.
+    #[inline]
     pub fn note_sync_stall(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Execute(_)));
         self.cycles += 1;
@@ -446,6 +471,7 @@ impl Core {
     /// The synchronizer finished this core's check-in/check-out. With
     /// `sleep`, the core enters sync sleep (check-out while other cores are
     /// still inside the section). Edge event — consumes no cycle.
+    #[inline]
     pub fn complete_sync(&mut self, sleep: bool) {
         let CoreState::SyncIssued(instr) = self.state else {
             panic!("complete_sync without an issued sync op");
@@ -471,6 +497,7 @@ impl Core {
     /// when they encounter instrumented code: the baseline architecture of
     /// the paper has no synchronization ISE, so the operation degenerates
     /// to a NOP (it still consumes fetch + execute like any instruction).
+    #[inline]
     pub fn skip_sync_op(&mut self) {
         let CoreState::Execute(instr) = self.state else {
             panic!("skip_sync_op outside execute phase");
@@ -486,6 +513,7 @@ impl Core {
     // ---- sleep ------------------------------------------------------------
 
     /// Records a cycle spent asleep (externally clock-gated).
+    #[inline]
     pub fn note_sleep(&mut self) {
         debug_assert!(matches!(self.state, CoreState::Sleeping));
         self.cycles += 1;
@@ -495,6 +523,7 @@ impl Core {
     /// Wake-up event. Returns `true` if the core actually woke: a sync
     /// sleep (`SDEC`) only honours the synchronizer; an instruction sleep
     /// honours the synchronizer or an interrupt. Edge event — no cycle.
+    #[inline]
     pub fn wake(&mut self, reason: WakeReason) -> bool {
         if !matches!(self.state, CoreState::Sleeping) {
             return false;
@@ -591,6 +620,7 @@ impl Core {
 
     // ---- instruction semantics ---------------------------------------------
 
+    #[inline]
     fn apply(&mut self, instr: Instr, read: Option<u16>) {
         self.stats.retired += 1;
         if instr.is_useful_op() {

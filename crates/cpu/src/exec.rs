@@ -66,6 +66,7 @@ fn logic_flags(value: u16, flags: Flags) -> AluResult {
 /// assert_eq!(r.value, (-2i16) as u16);
 /// assert!(r.flags.n && !r.flags.c); // negative, borrow occurred
 /// ```
+#[inline]
 pub fn alu_exec(op: AluOp, a: u16, b: u16, flags: Flags) -> AluResult {
     match op {
         AluOp::Add => add_with_carry(a, b, false),
@@ -88,6 +89,7 @@ pub fn alu_exec(op: AluOp, a: u16, b: u16, flags: Flags) -> AluResult {
 ///
 /// For a non-zero amount the carry receives the last bit shifted (or
 /// rotated) out; a zero amount only refreshes Z and N.
+#[inline]
 pub fn shift_exec(kind: ShiftKind, a: u16, amount: u8, flags: Flags) -> AluResult {
     let n = (amount & 0xF) as u32;
     if n == 0 {
@@ -114,6 +116,7 @@ pub fn shift_exec(kind: ShiftKind, a: u16, amount: u8, flags: Flags) -> AluResul
 ///
 /// `NEG` behaves like a subtraction from zero (full Z N C V); `ABS` sets V
 /// when the operand is `-32768`, whose magnitude is unrepresentable.
+#[inline]
 pub fn unary_exec(op: UnaryOp, a: u16, flags: Flags) -> AluResult {
     match op {
         UnaryOp::Not => logic_flags(!a, flags),

@@ -199,6 +199,7 @@ fn sext5(bits: u16) -> i8 {
 ///
 /// Returns [`DecodeError`] for reserved opcodes, non-zero reserved bits or
 /// out-of-range funct values.
+#[inline]
 pub fn decode(word: u16) -> Result<Instr, DecodeError> {
     let op = word >> 11;
     let rd = Reg::from_bits(word >> 8);

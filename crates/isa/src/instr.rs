@@ -352,6 +352,7 @@ pub enum Instr {
 impl Instr {
     /// Whether executing this instruction accesses data memory (including
     /// the sync-word accesses performed by the synchronization ISE).
+    #[inline]
     pub fn is_mem(self) -> bool {
         matches!(
             self,
@@ -365,6 +366,7 @@ impl Instr {
     }
 
     /// Whether this instruction can change the PC to a non-sequential value.
+    #[inline]
     pub fn is_control(self) -> bool {
         matches!(
             self,
@@ -380,6 +382,7 @@ impl Instr {
     }
 
     /// Whether this instruction is part of the synchronization ISE.
+    #[inline]
     pub fn is_sync(self) -> bool {
         matches!(self, Instr::Sinc { .. } | Instr::Sdec { .. })
     }
@@ -387,6 +390,7 @@ impl Instr {
     /// Whether this instruction counts as a *useful operation* for the
     /// paper's Ops/s workload metric (everything except `NOP`, `SLEEP`,
     /// `HALT` and the synchronization ISE, which are pure overhead).
+    #[inline]
     pub fn is_useful_op(self) -> bool {
         !matches!(
             self,

@@ -46,6 +46,7 @@ pub struct MicroOp {
 
 impl MicroOp {
     /// Wraps a decoded instruction with its classification.
+    #[inline]
     pub fn new(instr: Instr) -> MicroOp {
         MicroOp {
             instr,
@@ -57,6 +58,7 @@ impl MicroOp {
 impl Instr {
     /// The instruction's [`OpClass`] — how the compiled tier may treat it
     /// inside a straight-line trace.
+    #[inline]
     pub fn op_class(self) -> OpClass {
         match self {
             Instr::Ld { .. } | Instr::St { .. } | Instr::LdP { .. } | Instr::StP { .. } => {

@@ -1,33 +1,33 @@
 //! # ulp-jit — the compiled hot-block execution tier
 //!
-//! The cycle engine in `ulp_platform` is a pure interpreter: every core
-//! cycle re-derives its instruction by fetching a word through the I-Xbar
-//! and decoding it. This crate adds a *translation tier* on top: basic
-//! blocks whose entry PC gets hot are decoded **once** into straight-line
-//! traces of pre-resolved micro-ops ([`ulp_isa::MicroOp`]), and the engine
-//! then replays the trace without per-instruction fetch-request
-//! construction or decode.
+//! The cycle engine in `ulp_platform` is an interpreter over predecoded
+//! instruction memory. This crate adds a *translation tier* on top:
+//! basic blocks whose entry PC gets hot are decoded into straight-line
+//! traces of pre-resolved micro-ops ([`ulp_isa::MicroOp`]) that record,
+//! per offset, the run of core-local ops ahead. When every active core
+//! fetches the same PC — lockstep, the paper's premise — the engine runs
+//! that whole run as one batch: per op one broadcast fetch cycle and one
+//! execute cycle, without per-cycle arbitration, request buffers or
+//! phase scans. Every other cycle is an ordinary interpreter cycle.
 //!
 //! ## Fidelity
 //!
-//! The tier is an execution strategy, not a different machine. A trace
-//! ends at every *fidelity boundary*:
+//! The tier is an execution strategy, not a different machine. A batch
+//! covers only [`ulp_isa::OpClass::Pure`] micro-ops; it stops before
 //!
 //! * synchronization instructions (`SINC`/`SDEC`), `SLEEP` and `HALT`
 //!   ([`ulp_isa::OpClass::Boundary`]) — translation stops *before* them;
-//! * control flow out of the block ([`ulp_isa::OpClass::Control`]) — the
-//!   terminator itself is trace-executable, but the successor block is
-//!   resolved at run time;
-//! * any cycle whose data-memory request set could conflict in the D-Xbar
-//!   or touch a synchronizer-locked word — detected at execution time,
-//!   the whole cycle is handed back to the interpreter;
+//! * control flow ([`ulp_isa::OpClass::Control`]) — the terminator ends
+//!   the block, the successor block is resolved at run time;
+//! * data-memory accesses ([`ulp_isa::OpClass::Mem`]), which the
+//!   interpreter arbitrates in the D-Xbar;
 //! * any cycle where an observer hook fires — runs with observers
 //!   attached never enter the compiled loop at all.
 //!
-//! Within those rules the engine replays the *exact* interpreter cycle —
-//! same crossbar arbitration, same rotating-priority updates, same
-//! counters — so `SimStats`, `MemStats`, lockstep width and energy
-//! accounting stay bit-identical to an interpreted run.
+//! A batch records exactly the crossbar arbitration, rotating-priority
+//! updates and counters of the interpreter cycles it stands for, so
+//! `SimStats`, `MemStats`, lockstep width and energy accounting stay
+//! bit-identical to an interpreted run.
 //!
 //! ## Cache lifetime
 //!
@@ -89,10 +89,11 @@ pub struct JitStats {
     /// Trace entries served from the cache (a hot block dispatched
     /// without re-translation).
     pub hits: u64,
-    /// Cycles executed by the compiled tier.
+    /// Cycles executed inside uniform lockstep batches — the only cycles
+    /// the compiled tier runs without the interpreter.
     pub compiled_cycles: u64,
-    /// Cycles handed back to the interpreter (cold code, fidelity
-    /// boundaries, possible DM conflicts, observer-attached cycles).
+    /// Cycles run by the interpreter (cores not in uniform lockstep,
+    /// cold code, fidelity boundaries, observer-attached cycles).
     pub fallback_cycles: u64,
 }
 
@@ -119,8 +120,7 @@ impl JitStats {
 }
 
 /// One translated basic block: a straight-line trace of pre-decoded
-/// micro-ops starting at `start`, with the IM bank of every fetch resolved
-/// at translation time.
+/// micro-ops starting at `start`.
 #[derive(Debug, Clone)]
 pub struct Block {
     /// Entry PC (word address).
@@ -129,9 +129,6 @@ pub struct Block {
     /// is either a [`OpClass::Control`] terminator or the op before a
     /// fidelity boundary / the block-length cap.
     pub ops: Vec<MicroOp>,
-    /// `banks[i]` is the IM bank `start + i` maps to, so the compiled
-    /// fetch phase never recomputes the bank mapping.
-    pub banks: Vec<u16>,
     /// `pure_runs[i]` is the number of consecutive [`OpClass::Pure`]
     /// micro-ops starting at offset `i` — the length of the batch a
     /// uniform-lockstep executor may run from there without touching the
@@ -170,23 +167,30 @@ const NOT_PRESENT: u32 = u32::MAX;
 /// here" (the entry instruction is a boundary or does not decode).
 const UNTRANSLATABLE: u32 = u32::MAX - 1;
 
+/// Flag of an index slot inside a translated block that is not an entry
+/// of its own: `COVERED | idx` names the covering block. Fetch probes
+/// skip these words and lookups enter the covering block mid-way, so a
+/// straight-line run is translated once, not once per word.
+const COVERED: u32 = 1 << 31;
+
 /// The per-platform translation cache: PC-indexed hotness counters, the
 /// translated blocks, and the per-run counters.
 ///
 /// See the crate docs for the lifetime rules. The cache is keyed by entry
-/// PC; overlapping blocks (a block entered mid-way after an interpreter
-/// stint) simply get their own entry.
+/// PC; a word inside a translated block maps to that block, and an
+/// entry a later block runs through keeps its own trace.
 #[derive(Debug, Clone)]
 pub struct TranslationCache {
     hot_threshold: u32,
-    /// Execution counter per IM word address, advanced every time a core
-    /// looks for a trace at that PC; sized to the IM lazily.
+    /// Execution counter per IM word address, advanced by every uniform
+    /// lookup and fetch probe at that PC; sized to the IM lazily.
     counters: Vec<u32>,
     blocks: Vec<Block>,
     /// Direct-mapped entry PC → block index (one slot per IM word, sized
     /// alongside `counters`): trace dispatch happens once per block entry
     /// per core, so it must be a plain load, not a hash lookup.
-    /// [`NOT_PRESENT`] = never attempted, [`UNTRANSLATABLE`] = known-dead.
+    /// [`NOT_PRESENT`] = never attempted, [`UNTRANSLATABLE`] = known-dead,
+    /// [`COVERED`]` | idx` = inside block `idx`.
     index: Vec<u32>,
     /// FNV-1a fingerprint of the IM contents the cached blocks were
     /// translated from.
@@ -279,39 +283,90 @@ impl TranslationCache {
         }
     }
 
-    /// Looks for a trace entered at `pc`, advancing the PC's execution
-    /// counter. Returns the block index when the entry is hot and
-    /// translates to a non-empty trace; `None` while the entry is cold or
-    /// known-untranslatable (the interpreter keeps running it).
-    pub fn lookup_hot(&mut self, pc: u16, imem: &BankedMemory) -> Option<u32> {
+    /// Looks for a trace at `pc`, advancing the PC's execution counter
+    /// while it is cold. Returns `(block index, offset of pc)` when `pc`
+    /// is a hot entry (offset 0) or lies inside a translated block;
+    /// `None` while the entry is cold or known-untranslatable (the
+    /// interpreter keeps running it).
+    pub fn lookup_hot(&mut self, pc: u16, imem: &BankedMemory) -> Option<(u32, u16)> {
+        self.fit(imem);
+        let word = imem.index(pc);
+        let found = match self.index[word] {
+            NOT_PRESENT => return self.advance(word, pc, imem).map(|idx| (idx, 0)),
+            UNTRANSLATABLE => return None,
+            slot if slot >= COVERED => {
+                let idx = slot & !COVERED;
+                let off = pc.wrapping_sub(self.blocks[idx as usize].start);
+                // An address aliasing the word (the IM wraps) is no way
+                // into the block.
+                ((off as usize) < self.blocks[idx as usize].len()).then_some((idx, off))
+            }
+            idx => Some((idx, 0)),
+        };
+        self.stats.hits += found.is_some() as u64;
+        found
+    }
+
+    /// Advances the hotness of a fetch at `pc` made outside a uniform
+    /// batch, translating the block entered there once it is hot. Words
+    /// inside a translated block are skipped, so a run that cores mostly
+    /// execute out of lockstep is translated by the time a lockstep group
+    /// reaches it. Counts no hit: nothing is dispatched.
+    #[inline]
+    pub fn note_fetch(&mut self, pc: u16, imem: &BankedMemory) {
+        self.fit(imem);
+        let word = imem.index(pc);
+        if self.index[word] == NOT_PRESENT {
+            self.advance(word, pc, imem);
+        }
+    }
+
+    /// Sizes the per-word tables to the IM.
+    #[inline]
+    fn fit(&mut self, imem: &BankedMemory) {
         if self.index.len() != imem.len() {
             self.index.resize(imem.len(), NOT_PRESENT);
             self.counters.resize(imem.len(), 0);
         }
-        let word = pc as usize % imem.len();
-        match self.index[word] {
-            NOT_PRESENT => {}
-            UNTRANSLATABLE => return None,
-            idx => {
-                self.stats.hits += 1;
-                return Some(idx);
-            }
-        }
+    }
+
+    /// Counts one more execution of the untranslated entry `pc` (IM word
+    /// `word`) and translates it once it passes the threshold.
+    fn advance(&mut self, word: usize, pc: u16, imem: &BankedMemory) -> Option<u32> {
         let slot = &mut self.counters[word];
         *slot = slot.saturating_add(1);
         if *slot <= self.hot_threshold {
             return None;
         }
         let block = translate(pc, imem);
-        let idx = if block.is_empty() {
-            UNTRANSLATABLE
-        } else {
-            self.stats.translations += 1;
-            self.blocks.push(block);
-            (self.blocks.len() - 1) as u32
-        };
+        if block.is_empty() {
+            self.index[word] = UNTRANSLATABLE;
+            return None;
+        }
+        self.stats.translations += 1;
+        Some(self.insert(word, block, imem))
+    }
+
+    /// Caches `block` as the entry at IM word `word` and marks the words
+    /// after its entry as covered by it, unless they hold entries of their
+    /// own. Of several blocks running through a word, the one with the
+    /// greatest entry PC covers it whatever the translation order, so a
+    /// restored cache maps every word as the original did.
+    fn insert(&mut self, word: usize, block: Block, imem: &BankedMemory) -> u32 {
+        let idx = self.blocks.len() as u32;
+        for k in 1..block.len() {
+            let covered = imem.index(block.start.wrapping_add(k as u16));
+            let slot = self.index[covered];
+            let take = slot == NOT_PRESENT
+                || (COVERED..UNTRANSLATABLE).contains(&slot)
+                    && self.blocks[(slot & !COVERED) as usize].start < block.start;
+            if take {
+                self.index[covered] = COVERED | idx;
+            }
+        }
         self.index[word] = idx;
-        (idx != UNTRANSLATABLE).then_some(idx)
+        self.blocks.push(block);
+        idx
     }
 
     /// The block behind an index returned by
@@ -330,7 +385,7 @@ impl TranslationCache {
             return None;
         }
         let idx = self.index[pc as usize % self.index.len()];
-        (idx != NOT_PRESENT && idx != UNTRANSLATABLE).then_some(idx)
+        (idx < COVERED).then_some(idx)
     }
 
     /// Captures the cache state for a platform checkpoint. Translated
@@ -349,9 +404,9 @@ impl TranslationCache {
         let mut untranslatable = Vec::new();
         for (word, &idx) in self.index.iter().enumerate() {
             match idx {
-                NOT_PRESENT => {}
                 UNTRANSLATABLE => untranslatable.push(word as u16),
-                _ => translated.push(word as u16),
+                idx if idx < COVERED => translated.push(word as u16),
+                _ => {}
             }
         }
         JitSnapshot {
@@ -403,8 +458,7 @@ impl TranslationCache {
             if block.is_empty() {
                 return false;
             }
-            self.blocks.push(block);
-            self.index[word as usize] = (self.blocks.len() - 1) as u32;
+            self.insert(word as usize, block, imem);
         }
         true
     }
@@ -434,7 +488,6 @@ pub struct JitSnapshot {
 /// boundary, an undecodable word or the length cap.
 fn translate(pc: u16, imem: &BankedMemory) -> Block {
     let mut ops = Vec::new();
-    let mut banks = Vec::new();
     let mut addr = pc;
     while ops.len() < MAX_BLOCK_OPS {
         let Ok(instr) = decode(imem.peek(addr)) else {
@@ -447,7 +500,6 @@ fn translate(pc: u16, imem: &BankedMemory) -> Block {
             break;
         }
         ops.push(op);
-        banks.push(imem.bank_of(addr) as u16);
         if op.class == OpClass::Control {
             break;
         }
@@ -466,7 +518,6 @@ fn translate(pc: u16, imem: &BankedMemory) -> Block {
     Block {
         start: pc,
         ops,
-        banks,
         pure_runs,
     }
 }
@@ -531,11 +582,69 @@ mod tests {
         for _ in 0..3 {
             assert!(cache.lookup_hot(0, &m).is_none(), "still cold");
         }
-        let idx = cache.lookup_hot(0, &m).expect("hot now");
+        let (idx, off) = cache.lookup_hot(0, &m).expect("hot now");
+        assert_eq!(off, 0);
         assert_eq!(cache.stats().translations, 1);
         assert_eq!(cache.block(idx).len(), 2);
-        assert_eq!(cache.lookup_hot(0, &m), Some(idx));
+        assert_eq!(cache.lookup_hot(0, &m), Some((idx, 0)));
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn covered_words_enter_their_block_and_skip_fetch_probes() {
+        let m = imem_with(
+            "loop: addi r0, #1
+                   addi r1, #2
+                   addi r2, #3
+                   br   loop",
+        );
+        let mut cache = TranslationCache::new(1);
+        cache.revalidate(&m);
+        cache.note_fetch(0, &m);
+        assert_eq!(cache.blocks_cached(), 0, "still cold");
+        cache.note_fetch(0, &m);
+        assert_eq!(cache.stats().translations, 1);
+        assert_eq!(cache.stats().hits, 0, "a probe dispatches nothing");
+        // Words inside the block are no entries of their own...
+        cache.note_fetch(2, &m);
+        cache.note_fetch(2, &m);
+        assert_eq!(cache.blocks_cached(), 1);
+        // ...and a lookup there enters the block mid-way.
+        assert_eq!(cache.lookup_hot(2, &m), Some((0, 2)));
+        assert_eq!(cache.stats().hits, 1);
+        let snap = cache.save();
+        assert_eq!(snap.translated, vec![0], "entries only");
+        let mut restored = TranslationCache::new(0);
+        assert!(restored.restore_from(&snap, &m));
+        assert_eq!(restored.lookup_hot(2, &m), Some((0, 2)));
+    }
+
+    #[test]
+    fn nearest_entry_covers_a_word_whatever_the_translation_order() {
+        let m = imem_with(
+            "loop: addi r0, #1
+                   addi r1, #1
+                   addi r2, #1
+                   addi r3, #1
+                   br   loop",
+        );
+        let entered = |cache: &mut TranslationCache, pc| {
+            let (idx, off) = cache.lookup_hot(pc, &m).expect("hot");
+            (cache.block(idx).start, off)
+        };
+        // A lockstep group enters at 2 before the block at 0 is hot.
+        let mut cache = TranslationCache::new(0);
+        cache.revalidate(&m);
+        assert_eq!(entered(&mut cache, 2), (2, 0));
+        assert_eq!(entered(&mut cache, 0), (0, 0));
+        assert_eq!(entered(&mut cache, 1), (0, 1));
+        assert_eq!(entered(&mut cache, 3), (2, 1), "the nearer entry");
+        // A restore translates in address order and maps words the same.
+        let mut restored = TranslationCache::new(0);
+        assert!(restored.restore_from(&cache.save(), &m));
+        for (pc, want) in [(1, (0, 1)), (2, (2, 0)), (3, (2, 1)), (4, (2, 2))] {
+            assert_eq!(entered(&mut restored, pc), want, "pc {pc}");
+        }
     }
 
     #[test]
@@ -593,7 +702,7 @@ mod tests {
         assert_eq!(restored.stats(), cache.stats());
         // The hot entry hits without a fresh translation...
         let before = restored.stats().translations;
-        let idx = restored.lookup_hot(0, &m).expect("still hot");
+        let (idx, _) = restored.lookup_hot(0, &m).expect("still hot");
         assert_eq!(restored.stats().translations, before);
         assert_eq!(restored.block(idx).len(), 2);
         // ...the untranslatable entry stays dead, and the cold entry

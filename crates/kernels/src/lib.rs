@@ -48,6 +48,6 @@ pub use runner::{
     golden_outputs, kernel_source, resume_benchmark_checkpointed, run_benchmark,
     run_benchmark_checkpointed, run_benchmark_on, run_benchmark_reusing,
     run_benchmark_reusing_with, Benchmark, BenchmarkRun, CheckpointControl, RunnerError,
-    SourceWindow, WorkloadConfig,
+    SourceWindow, WorkloadConfig, WorkloadError,
 };
 pub use sqrt32_kernel::{sqrt32_source, Sqrt32Params};

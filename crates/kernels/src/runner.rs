@@ -175,6 +175,32 @@ impl WorkloadConfig {
         }
     }
 
+    /// Checks that the kernels can run this workload: `n` must lie in
+    /// `4..=`[`crate::layout::MAX_N`] (the streaming kernels need four
+    /// samples; the buffers hold `MAX_N`), and a source window must lie
+    /// inside its recording. The service checks every submitted spec with
+    /// it and the runner every workload it loads, so a bad spec is refused
+    /// with a typed error instead of panicking a worker.
+    ///
+    /// # Errors
+    ///
+    /// The first [`WorkloadError`] found.
+    pub fn validate(&self) -> Result<(), WorkloadError> {
+        if !(4..=crate::layout::MAX_N).contains(&self.n) {
+            return Err(WorkloadError::SamplesOutOfRange { n: self.n });
+        }
+        if let Some(w) = self.source {
+            if w.offset.checked_add(self.n).is_none_or(|end| end > w.total) {
+                return Err(WorkloadError::WindowOutsideRecording {
+                    offset: w.offset,
+                    n: self.n,
+                    total: w.total,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// The per-core input channels of this workload: windowed generation
     /// when `source` is set, a standalone `n`-sample recording otherwise.
     pub fn channels(&self, num_cores: usize) -> Vec<EcgSignal> {
@@ -186,6 +212,44 @@ impl WorkloadConfig {
         }
     }
 }
+
+/// Why the kernels cannot run a [`WorkloadConfig`]
+/// ([`WorkloadConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkloadError {
+    /// `n` lies outside `4..=`[`crate::layout::MAX_N`].
+    SamplesOutOfRange {
+        /// The requested samples per channel.
+        n: usize,
+    },
+    /// The source window does not fit inside its recording.
+    WindowOutsideRecording {
+        /// First sample of the window.
+        offset: usize,
+        /// Window length.
+        n: usize,
+        /// Recording length.
+        total: usize,
+    },
+}
+
+impl fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkloadError::SamplesOutOfRange { n } => write!(
+                f,
+                "n = {n} outside the supported range 4..={}",
+                crate::layout::MAX_N
+            ),
+            WorkloadError::WindowOutsideRecording { offset, n, total } => write!(
+                f,
+                "window of {n} samples at {offset} outside a recording of {total} samples"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
 
 /// Result of one benchmark execution.
 #[derive(Debug, Clone)]
@@ -243,6 +307,8 @@ pub enum RunnerError {
     Platform(PlatformError),
     /// A checkpoint could not be restored onto the platform.
     Restore(RestoreError),
+    /// The workload is outside what the kernels can run.
+    Workload(WorkloadError),
     /// A core's output differs from the golden model.
     OutputMismatch {
         /// The benchmark that mismatched.
@@ -261,6 +327,7 @@ impl fmt::Display for RunnerError {
             RunnerError::Config(e) => write!(f, "platform configuration invalid: {e}"),
             RunnerError::Platform(e) => write!(f, "simulation failed: {e}"),
             RunnerError::Restore(e) => write!(f, "checkpoint restore failed: {e}"),
+            RunnerError::Workload(e) => write!(f, "invalid workload: {e}"),
             RunnerError::OutputMismatch {
                 benchmark,
                 core,
@@ -280,6 +347,7 @@ impl std::error::Error for RunnerError {
             RunnerError::Config(e) => Some(e),
             RunnerError::Platform(e) => Some(e),
             RunnerError::Restore(e) => Some(e),
+            RunnerError::Workload(e) => Some(e),
             RunnerError::OutputMismatch { .. } => None,
         }
     }
@@ -288,6 +356,12 @@ impl std::error::Error for RunnerError {
 impl From<RestoreError> for RunnerError {
     fn from(e: RestoreError) -> Self {
         RunnerError::Restore(e)
+    }
+}
+
+impl From<WorkloadError> for RunnerError {
+    fn from(e: WorkloadError) -> Self {
+        RunnerError::Workload(e)
     }
 }
 
@@ -398,8 +472,8 @@ pub fn run_benchmark(
 ///
 /// # Panics
 ///
-/// Panics if `cfg.n` is outside the buffer layout's capacity or the
-/// platform has more than 8 cores (one private DM bank per core).
+/// Panics if the platform has more than 8 cores (one private DM bank
+/// per core).
 pub fn run_benchmark_on(
     benchmark: Benchmark,
     platform_cfg: PlatformConfig,
@@ -420,8 +494,8 @@ pub fn run_benchmark_on(
 ///
 /// # Panics
 ///
-/// Panics if `cfg.n` is outside the buffer layout's capacity or the
-/// platform has more than 8 cores (one private DM bank per core).
+/// Panics if the platform has more than 8 cores (one private DM bank
+/// per core).
 pub fn run_benchmark_reusing(
     benchmark: Benchmark,
     platform: &mut Platform,
@@ -462,11 +536,7 @@ fn load_workload(
     platform: &mut Platform,
     cfg: &WorkloadConfig,
 ) -> Result<Vec<EcgSignal>, RunnerError> {
-    assert!(
-        cfg.n >= 4 && cfg.n <= crate::layout::MAX_N,
-        "n = {} outside supported range",
-        cfg.n
-    );
+    cfg.validate()?;
     assert!(
         platform.config().num_cores <= 8,
         "kernels assume one private DM bank per core"
@@ -693,6 +763,39 @@ mod tests {
             assert_eq!(fresh.stats, reused.stats, "{benchmark}");
             assert_eq!(fresh.outputs, reused.outputs, "{benchmark}");
         }
+    }
+
+    #[test]
+    fn invalid_workloads_are_refused_with_typed_errors() {
+        let with_n = |n| WorkloadConfig {
+            n,
+            ..WorkloadConfig::quick_test()
+        };
+        for n in [0, 3, crate::layout::MAX_N + 1] {
+            let err = run_benchmark(Benchmark::Sqrt32, true, &with_n(n)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RunnerError::Workload(WorkloadError::SamplesOutOfRange { n: got }) if got == n
+                ),
+                "n = {n}: {err}"
+            );
+        }
+        assert_eq!(with_n(4).validate(), Ok(()));
+        assert_eq!(with_n(crate::layout::MAX_N).validate(), Ok(()));
+        let mut window = with_n(64).windowed(0, 64);
+        window.source = Some(SourceWindow {
+            offset: 10,
+            total: 70,
+        });
+        assert_eq!(
+            window.validate(),
+            Err(WorkloadError::WindowOutsideRecording {
+                offset: 10,
+                n: 64,
+                total: 70
+            })
+        );
     }
 
     #[test]

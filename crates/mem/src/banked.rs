@@ -14,19 +14,108 @@ pub enum BankMapping {
     Interleaved,
 }
 
-impl BankMapping {
-    /// The bank `addr` belongs to in a memory of `banks` banks of
-    /// `bank_words` words each (addresses wrap modulo the memory size).
-    /// This is the single address-to-bank computation shared by
-    /// [`BankedMemory`] and external bank-attribution observers (e.g. the
-    /// platform's heat map), so a mapping change cannot desynchronize
-    /// them.
+/// Exact division and remainder of a 16-bit address by a fixed divisor
+/// through a precomputed reciprocal (Lemire, Kaser and Kurz, "Faster
+/// remainder by direct computation", 2019): with `m = ceil(2^32 / d)`,
+/// `a / d = (a·m) >> 32` and `a % d = ((a·m mod 2^32)·d) >> 32` for every
+/// `a < 2^16` and `1 ≤ d ≤ 2^16`. Divisors above `2^16` behave like `2^16`
+/// on 16-bit addresses (quotient 0, remainder `a`), so they are clamped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reciprocal {
+    d: u64,
+    m: u64,
+}
+
+impl Reciprocal {
+    fn new(d: usize) -> Reciprocal {
+        let d = d.clamp(1, 1 << 16) as u64;
+        Reciprocal {
+            d,
+            m: (1u64 << 32).div_ceil(d),
+        }
+    }
+
     #[inline]
-    pub fn bank_of(self, addr: u16, banks: usize, bank_words: usize) -> usize {
-        let a = addr as usize % (banks * bank_words);
-        match self {
-            BankMapping::Blocked => a / bank_words,
-            BankMapping::Interleaved => a % banks,
+    fn div(self, a: u16) -> usize {
+        ((a as u64 * self.m) >> 32) as usize
+    }
+
+    #[inline]
+    fn rem(self, a: u16) -> usize {
+        let low = (a as u64 * self.m) & 0xFFFF_FFFF;
+        ((low * self.d) >> 32) as usize
+    }
+}
+
+/// The address geometry of a banked memory: its size, its bank count and
+/// how word addresses map onto banks. The single address-to-bank and
+/// address-to-word computation, shared by [`BankedMemory`] and external
+/// bank-attribution observers (e.g. the platform's heat map), so a mapping
+/// change cannot desynchronize them.
+///
+/// Addresses wrap modulo the memory size. Every division is precomputed
+/// as a reciprocal at construction: the paper's instruction-memory banks
+/// hold 6144 words, not a power of two, and the crossbars map every
+/// request of every cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankGeometry {
+    words: usize,
+    banks: usize,
+    mapping: BankMapping,
+    words_recip: Reciprocal,
+    banks_recip: Reciprocal,
+    bank_words_recip: Reciprocal,
+}
+
+impl BankGeometry {
+    /// The geometry of `words` words in `banks` banks under `mapping`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` is zero or does not divide `words`.
+    pub fn new(words: usize, banks: usize, mapping: BankMapping) -> BankGeometry {
+        assert!(banks > 0, "at least one bank");
+        assert_eq!(words % banks, 0, "banks must divide the word count");
+        BankGeometry {
+            words,
+            banks,
+            mapping,
+            words_recip: Reciprocal::new(words),
+            banks_recip: Reciprocal::new(banks),
+            bank_words_recip: Reciprocal::new(words / banks),
+        }
+    }
+
+    /// Number of banks.
+    pub fn banks(&self) -> usize {
+        self.banks
+    }
+
+    /// Words per bank.
+    pub fn bank_words(&self) -> usize {
+        self.words / self.banks
+    }
+
+    /// The address-to-bank mapping.
+    pub fn mapping(&self) -> BankMapping {
+        self.mapping
+    }
+
+    /// The word index `addr` wraps to (`addr mod words`).
+    #[inline]
+    pub fn index(&self, addr: u16) -> usize {
+        self.words_recip.rem(addr)
+    }
+
+    /// The bank `addr` belongs to: `index / bank_words` under
+    /// [`BankMapping::Blocked`], `addr mod banks` under
+    /// [`BankMapping::Interleaved`] (the bank count divides the memory
+    /// size, so wrapping first changes nothing).
+    #[inline]
+    pub fn bank_of(&self, addr: u16) -> usize {
+        match self.mapping {
+            BankMapping::Blocked => self.bank_words_recip.div(self.index(addr) as u16),
+            BankMapping::Interleaved => self.banks_recip.rem(addr),
         }
     }
 }
@@ -102,9 +191,7 @@ pub struct MemSnapshot {
 #[derive(Debug, Clone)]
 pub struct BankedMemory {
     words: Vec<u16>,
-    banks: usize,
-    bank_words: usize,
-    mapping: BankMapping,
+    geometry: BankGeometry,
     /// Currently locked words. A plain vector (not a set): at most a
     /// handful of words are locked at once (one per in-flight synchronizer
     /// RMW), and lock/unlock must not allocate in steady state.
@@ -120,13 +207,9 @@ impl BankedMemory {
     ///
     /// Panics if `banks` is zero or does not divide `words`.
     pub fn new(words: usize, banks: usize, mapping: BankMapping) -> BankedMemory {
-        assert!(banks > 0, "at least one bank");
-        assert_eq!(words % banks, 0, "banks must divide the word count");
         BankedMemory {
             words: vec![0; words],
-            banks,
-            bank_words: words / banks,
-            mapping,
+            geometry: BankGeometry::new(words, banks, mapping),
             locked: Vec::new(),
             stats: MemStats::default(),
             per_bank: vec![0; banks],
@@ -144,27 +227,30 @@ impl BankedMemory {
     }
 
     /// Number of banks.
+    #[inline]
     pub fn banks(&self) -> usize {
-        self.banks
+        self.geometry.banks()
     }
 
     /// The configured address-to-bank mapping.
     pub fn mapping(&self) -> BankMapping {
-        self.mapping
+        self.geometry.mapping()
     }
 
     /// The bank an address belongs to.
     #[inline]
     pub fn bank_of(&self, addr: u16) -> usize {
-        self.mapping.bank_of(addr, self.banks, self.bank_words)
+        self.geometry.bank_of(addr)
     }
 
+    /// The word index an address wraps to (`addr mod len`).
     #[inline]
-    fn index(&self, addr: u16) -> usize {
-        addr as usize % self.words.len()
+    pub fn index(&self, addr: u16) -> usize {
+        self.geometry.index(addr)
     }
 
     /// Physical read (counted).
+    #[inline]
     pub fn read(&mut self, addr: u16) -> u16 {
         let bank = self.bank_of(addr);
         self.stats.bank_reads += 1;
@@ -176,6 +262,7 @@ impl BankedMemory {
     ///
     /// Counts a single bank access; the `requesters - 1` saved accesses are
     /// recorded in [`MemStats::broadcast_extra`].
+    #[inline]
     pub fn read_broadcast(&mut self, addr: u16, requesters: usize) -> u16 {
         debug_assert!(requesters >= 1);
         self.stats.broadcast_extra += requesters.saturating_sub(1) as u64;
@@ -183,6 +270,7 @@ impl BankedMemory {
     }
 
     /// Physical write (counted).
+    #[inline]
     pub fn write(&mut self, addr: u16, value: u16) {
         let bank = self.bank_of(addr);
         self.stats.bank_writes += 1;
@@ -192,6 +280,7 @@ impl BankedMemory {
     }
 
     /// Backdoor read without access accounting (loaders, tests, traces).
+    #[inline]
     pub fn peek(&self, addr: u16) -> u16 {
         self.words[self.index(addr)]
     }
@@ -222,6 +311,7 @@ impl BankedMemory {
     }
 
     /// Whether a word is currently locked.
+    #[inline]
     pub fn is_locked(&self, addr: u16) -> bool {
         self.locked.contains(&addr)
     }
@@ -269,7 +359,7 @@ impl BankedMemory {
     /// `false` (leaving the memory untouched) when the snapshot's word or
     /// bank count does not match this memory.
     pub fn load_snapshot(&mut self, snapshot: &MemSnapshot) -> bool {
-        if snapshot.words.len() != self.words.len() || snapshot.per_bank.len() != self.banks {
+        if snapshot.words.len() != self.words.len() || snapshot.per_bank.len() != self.banks() {
             return false;
         }
         self.words.copy_from_slice(&snapshot.words);
@@ -292,6 +382,31 @@ mod tests {
         assert_eq!(m.bank_of(2047), 0);
         assert_eq!(m.bank_of(2048), 1);
         assert_eq!(m.bank_of(32767), 15);
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_for_every_address() {
+        // The paper's IM (48K words, 8 banks of 6144) and DM (32K words,
+        // 16 banks), odd and prime sizes, and the edges of the clamp.
+        for d in [
+            1, 2, 3, 6, 7, 31, 2048, 6144, 49_151, 49_152, 65_535, 65_536, 70_000,
+        ] {
+            let r = Reciprocal::new(d);
+            for a in 0..=u16::MAX {
+                assert_eq!(r.div(a), a as usize / d, "{a} / {d}");
+                assert_eq!(r.rem(a), a as usize % d, "{a} % {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn paper_im_geometry_wraps_and_maps() {
+        let g = BankGeometry::new(48 * 1024, 8, BankMapping::Blocked);
+        assert_eq!(g.bank_words(), 6144);
+        assert_eq!(g.bank_of(6143), 0);
+        assert_eq!(g.bank_of(6144), 1);
+        assert_eq!(g.index(49_152), 0, "wraps modulo the size");
+        assert_eq!(g.bank_of(u16::MAX), (u16::MAX as usize - 49_152) / 6144);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! served, so the group resumes in lockstep.
 
 use crate::banked::BankedMemory;
+use crate::ring::{ring_distance, ring_next, ring_pointer};
 
 /// The direction and payload of a data access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -241,6 +242,10 @@ impl DXbar {
     ) {
         outcome.grants.clear();
         outcome.releases.clear();
+        // No request serves nothing, so no group can complete either.
+        if requests.is_empty() {
+            return;
+        }
         self.stats.requests += requests.len() as u64;
         let banks = dmem.banks();
         let ncores = requests
@@ -253,37 +258,35 @@ impl DXbar {
         // ---- per-bank arbitration: pick and serve one address-group ----
         let mut serve = std::mem::take(&mut self.serve);
         serve.clear();
-        if !requests.is_empty() {
-            let mut req_info = std::mem::take(&mut self.req_info);
-            req_info.clear();
-            req_info.extend(
-                requests
-                    .iter()
-                    .map(|r| (dmem.bank_of(r.addr), dmem.is_locked(r.addr))),
-            );
+        let mut req_info = std::mem::take(&mut self.req_info);
+        req_info.clear();
+        req_info.extend(
+            requests
+                .iter()
+                .map(|r| (dmem.bank_of(r.addr), dmem.is_locked(r.addr))),
+        );
 
-            // Request bitmap: visit only the banks that actually have a
-            // request this cycle (in ascending order, like a full sweep
-            // would) instead of scanning every bank of the memory.
-            if banks <= u128::BITS as usize {
-                let mut pending: u128 = 0;
-                for &(b, _) in &req_info {
-                    pending |= 1 << b;
-                }
-                while pending != 0 {
-                    let bank = pending.trailing_zeros() as usize;
-                    pending &= pending - 1;
+        // Request bitmap: visit only the banks that actually have a
+        // request this cycle (in ascending order, like a full sweep would)
+        // instead of scanning every bank of the memory.
+        if banks <= u128::BITS as usize {
+            let mut pending: u128 = 0;
+            for &(b, _) in &req_info {
+                pending |= 1 << b;
+            }
+            while pending != 0 {
+                let bank = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                self.serve_bank(bank, ncores, requests, &req_info, dmem, &mut serve);
+            }
+        } else {
+            for bank in 0..banks {
+                if req_info.iter().any(|&(b, _)| b == bank) {
                     self.serve_bank(bank, ncores, requests, &req_info, dmem, &mut serve);
                 }
-            } else {
-                for bank in 0..banks {
-                    if req_info.iter().any(|&(b, _)| b == bank) {
-                        self.serve_bank(bank, ncores, requests, &req_info, dmem, &mut serve);
-                    }
-                }
             }
-            self.req_info = req_info;
         }
+        self.req_info = req_info;
         self.stats.grants += serve.len() as u64;
         self.stats.transfers += serve.len() as u64;
 
@@ -341,9 +344,13 @@ impl DXbar {
         self.serve = serve;
     }
 
-    /// Serves one requested bank: picks the winning request by rotating
-    /// priority among unlocked requesters, performs the access (broadcast
-    /// for same-address reads) and records the served requests.
+    /// Serves one requested bank. One pass over the requests counts the
+    /// bank's requests and its locked-out ones, flags a conflict (two
+    /// distinct unlocked addresses) and picks the winner by rotating
+    /// priority among unlocked requesters (the smallest distance from the
+    /// bank's pointer; distances are distinct — one request per core).
+    /// A write serves only the winner; a read is broadcast to every
+    /// unlocked reader of the same address, granted in a second pass.
     /// `req_info[i]` must be `(bank, locked)` of `requests[i]`.
     fn serve_bank(
         &mut self,
@@ -354,49 +361,43 @@ impl DXbar {
         dmem: &mut BankedMemory,
         serve: &mut Vec<(DmRequest, Option<u16>)>,
     ) {
+        let ptr = ring_pointer(self.rr[bank], ncores);
         let mut in_bank = 0usize;
         let mut unlocked = 0usize;
-        let mut first_addr = None;
+        let mut first_addr = 0u16;
         let mut conflict = false;
+        let mut best = usize::MAX;
+        let mut winner = None;
         for (r, &(b, locked)) in requests.iter().zip(req_info) {
             if b != bank {
                 continue;
             }
             in_bank += 1;
-            if !locked {
-                unlocked += 1;
-                match first_addr {
-                    None => first_addr = Some(r.addr),
-                    Some(a) if a != r.addr => conflict = true,
-                    Some(_) => {}
-                }
+            if locked {
+                continue;
+            }
+            if unlocked == 0 {
+                first_addr = r.addr;
+            } else if r.addr != first_addr {
+                conflict = true;
+            }
+            unlocked += 1;
+            let distance = ring_distance(r.core, ptr, ncores);
+            if distance < best {
+                best = distance;
+                winner = Some(*r);
             }
         }
         let locked_out = in_bank - unlocked;
         self.stats.lock_stalls += locked_out as u64;
-        if unlocked == 0 {
+        let Some(winner) = winner else {
             self.stats.stalls += locked_out as u64;
             return;
-        }
+        };
         if conflict {
             self.stats.conflict_cycles += 1;
         }
-
-        let eligible = || {
-            requests
-                .iter()
-                .zip(req_info)
-                .filter(move |&(_, &(b, locked))| b == bank && !locked)
-                .map(|(r, _)| r)
-        };
-        // Rotating priority in one pass: the eligible requester with the
-        // smallest distance from the pointer wins (distances are distinct
-        // — one request per core).
-        let ptr = self.rr[bank] % ncores;
-        let winner = *eligible()
-            .min_by_key(|r| (r.core + ncores - ptr) % ncores)
-            .expect("bank has unlocked requests");
-        self.rr[bank] = (winner.core + 1) % ncores;
+        self.rr[bank] = ring_next(winner.core, ncores);
 
         match winner.access {
             Access::Write(value) => {
@@ -406,14 +407,19 @@ impl DXbar {
                 self.stats.stalls += (in_bank - 1 - locked_out) as u64;
             }
             Access::Read => {
-                // Broadcast to every reader of the same address.
-                let in_group = |r: &DmRequest| r.addr == winner.addr && r.access == Access::Read;
-                let group = eligible().filter(|r| in_group(r)).count();
-                let word = dmem.read_broadcast(winner.addr, group);
+                // Broadcast to every reader of the same address (locks are
+                // per address, so they are all unlocked like the winner).
+                let first_served = serve.len();
+                let word = dmem.peek(winner.addr);
+                serve.extend(
+                    requests
+                        .iter()
+                        .filter(|r| r.addr == winner.addr && r.access == Access::Read)
+                        .map(|r| (*r, Some(word))),
+                );
+                let group = serve.len() - first_served;
+                dmem.read_broadcast(winner.addr, group);
                 self.stats.stalls += (in_bank - group - locked_out) as u64;
-                for r in eligible().filter(|r| in_group(r)) {
-                    serve.push((*r, Some(word)));
-                }
             }
         }
     }

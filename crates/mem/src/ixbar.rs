@@ -8,6 +8,7 @@
 //! exactly the conflict behaviour of Section III of the paper.
 
 use crate::banked::BankedMemory;
+use crate::ring::{ring_distance, ring_next, ring_pointer};
 
 /// One core's instruction fetch request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +136,11 @@ impl IXbar {
     /// Ungranted requesters stall.
     ///
     /// Within each bank exactly one address-group is served per cycle; the
-    /// group is chosen by rotating priority so no core starves. The method
-    /// performs no heap allocation beyond growing `grants` up to the core
-    /// count, so a caller that reuses the buffer runs allocation-free.
+    /// group is chosen by rotating priority so no core starves. Grants are
+    /// emitted bank by bank in ascending bank order, in request order
+    /// within a bank. The method performs no heap allocation beyond
+    /// growing `grants` up to the core count, so a caller that reuses the
+    /// buffer runs allocation-free.
     pub fn arbitrate_into(
         &mut self,
         requests: &[ImRequest],
@@ -149,7 +152,6 @@ impl IXbar {
         if requests.is_empty() {
             return;
         }
-        let banks = imem.banks();
         let ncores = requests
             .iter()
             .map(|r| r.core + 1)
@@ -157,34 +159,29 @@ impl IXbar {
             .unwrap_or(0)
             .max(self.rr.len().min(64));
 
-        // Lockstep fast path: every requester at the *same* address is the
-        // dominant cycle shape of SPMD code — one bank, one address-group,
-        // no conflict, everyone served by a single broadcast read.
-        let addr = requests[0].addr;
-        if requests.iter().all(|r| r.addr == addr) {
-            let bank = imem.bank_of(addr);
-            let ptr = self.rr[bank] % ncores;
-            let winner_core = requests
-                .iter()
-                .map(|r| r.core)
-                .min_by_key(|&c| (c + ncores - ptr) % ncores)
-                .expect("non-empty");
-            self.rr[bank] = (winner_core + 1) % ncores;
-            let word = imem.read_broadcast(addr, requests.len());
-            self.stats.grants += requests.len() as u64;
-            self.stats.transfers += requests.len() as u64;
-            grants.extend(requests.iter().map(|r| ImGrant { core: r.core, word }));
-            return;
-        }
-
+        // Resolve every request's bank once. Consecutive requests for the
+        // same address (the lockstep shape) reuse the previous mapping.
         let mut req_banks = std::mem::take(&mut self.req_banks);
         req_banks.clear();
-        req_banks.extend(requests.iter().map(|r| imem.bank_of(r.addr)));
+        let first_bank = imem.bank_of(requests[0].addr);
+        let mut last = (requests[0].addr, first_bank);
+        let mut one_bank = true;
+        for r in requests {
+            if r.addr != last.0 {
+                last = (r.addr, imem.bank_of(r.addr));
+                one_bank &= last.1 == first_bank;
+            }
+            req_banks.push(last.1);
+        }
 
-        // Request bitmap: visit only the banks that actually have a request
-        // this cycle (in ascending order, like a full sweep would) instead
-        // of scanning every bank of the memory.
-        if banks <= u128::BITS as usize {
+        // One requested bank is the dominant shape: lockstep, or diverged
+        // cores inside one kernel image. Otherwise a request bitmap visits
+        // only the banks that actually have a request this cycle (in
+        // ascending order, like a full sweep would) instead of scanning
+        // every bank of the memory.
+        if one_bank {
+            self.serve_bank(first_bank, ncores, requests, &req_banks, imem, grants);
+        } else if imem.banks() <= u128::BITS as usize {
             let mut pending: u128 = 0;
             for &b in &req_banks {
                 pending |= 1 << b;
@@ -195,7 +192,7 @@ impl IXbar {
                 self.serve_bank(bank, ncores, requests, &req_banks, imem, grants);
             }
         } else {
-            for bank in 0..banks {
+            for bank in 0..imem.banks() {
                 if req_banks.contains(&bank) {
                     self.serve_bank(bank, ncores, requests, &req_banks, imem, grants);
                 }
@@ -221,21 +218,26 @@ impl IXbar {
             .unwrap_or(0)
             .max(self.rr.len().min(64));
         let bank = imem.bank_of(addr);
-        let ptr = self.rr[bank] % ncores;
+        let ptr = ring_pointer(self.rr[bank], ncores);
         let winner_core = cores
             .iter()
             .copied()
-            .min_by_key(|&c| (c + ncores - ptr) % ncores)
+            .min_by_key(|&c| ring_distance(c, ptr, ncores))
             .expect("uniform group is non-empty");
-        self.rr[bank] = (winner_core + 1) % ncores;
+        self.rr[bank] = ring_next(winner_core, ncores);
         self.stats.grants += n as u64;
         self.stats.transfers += n as u64;
         imem.read_broadcast(addr, n)
     }
 
-    /// Serves one requested bank: picks the winning address-group by
-    /// rotating priority, performs the (broadcast) read and emits the
-    /// grants. `req_banks[i]` must be the bank of `requests[i]`.
+    /// Serves one requested bank. One pass over the requests finds the
+    /// bank's request count, whether it saw two distinct addresses (a
+    /// conflict) and the winning address-group: rotating priority picks
+    /// the requester with the smallest distance from the bank's pointer
+    /// (distances are distinct — one request per core). A second pass
+    /// grants every requester of the winning address (all in this bank),
+    /// which a single physical read serves by broadcast. `req_banks[i]`
+    /// must be the bank of `requests[i]`.
     fn serve_bank(
         &mut self,
         bank: usize,
@@ -245,48 +247,44 @@ impl IXbar {
         imem: &mut BankedMemory,
         grants: &mut Vec<ImGrant>,
     ) {
-        let in_bank = || {
-            requests
-                .iter()
-                .zip(req_banks)
-                .filter(move |&(_, &b)| b == bank)
-                .map(|(r, _)| r)
-        };
+        let ptr = ring_pointer(self.rr[bank], ncores);
         let mut count = 0usize;
-        let mut first_addr = None;
         let mut conflict = false;
-        for r in in_bank() {
+        let mut first_addr = 0u16;
+        let (mut best, mut winner_core, mut winner_addr) = (usize::MAX, 0usize, 0u16);
+        for (r, &b) in requests.iter().zip(req_banks) {
+            if b != bank {
+                continue;
+            }
+            if count == 0 {
+                first_addr = r.addr;
+            } else if r.addr != first_addr {
+                conflict = true;
+            }
             count += 1;
-            match first_addr {
-                None => first_addr = Some(r.addr),
-                Some(a) if a != r.addr => conflict = true,
-                Some(_) => {}
+            let distance = ring_distance(r.core, ptr, ncores);
+            if distance < best {
+                (best, winner_core, winner_addr) = (distance, r.core, r.addr);
             }
         }
         if conflict {
             self.stats.conflict_cycles += 1;
         }
-        // Rotating priority: the first requesting core at or after the
-        // pointer picks the winning address-group. Computed in one pass as
-        // the requester with the smallest distance from the pointer
-        // (distances are distinct — one request per core).
-        let ptr = self.rr[bank] % ncores;
-        let winner = in_bank()
-            .min_by_key(|r| (r.core + ncores - ptr) % ncores)
-            .expect("bank has requests");
-        let (winner_core, winner_addr) = (winner.core, winner.addr);
-        self.rr[bank] = (winner_core + 1) % ncores;
+        self.rr[bank] = ring_next(winner_core, ncores);
 
-        let served = in_bank().filter(|r| r.addr == winner_addr).count();
-        let word = imem.read_broadcast(winner_addr, served);
-        self.stats.grants += served as u64;
-        self.stats.transfers += served as u64;
-        self.stats.stalls += (count - served) as u64;
+        let first_grant = grants.len();
+        let word = imem.peek(winner_addr);
         grants.extend(
-            in_bank()
+            requests
+                .iter()
                 .filter(|r| r.addr == winner_addr)
                 .map(|r| ImGrant { core: r.core, word }),
         );
+        let served = grants.len() - first_grant;
+        imem.read_broadcast(winner_addr, served);
+        self.stats.grants += served as u64;
+        self.stats.transfers += served as u64;
+        self.stats.stalls += (count - served) as u64;
     }
 }
 

@@ -24,8 +24,9 @@ mod dxbar;
 mod ixbar;
 #[cfg(test)]
 mod proptests;
+mod ring;
 
-pub use banked::{BankMapping, BankedMemory, MemSnapshot, MemStats};
+pub use banked::{BankGeometry, BankMapping, BankedMemory, MemSnapshot, MemStats};
 pub use dxbar::{
     Access, DXbar, DXbarOutcome, DXbarSnapshot, DXbarStats, DmGrant, DmRequest, ServingPolicy,
 };

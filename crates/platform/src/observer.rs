@@ -34,7 +34,7 @@ use crate::error::PlatformError;
 use crate::sim::RunSummary;
 use crate::stats::SimStats;
 use ulp_cpu::{Core, CoreState};
-use ulp_mem::{BankMapping, DmRequest, ImRequest};
+use ulp_mem::{BankGeometry, BankMapping, DmRequest, ImRequest};
 
 /// Hooks into the deterministic cycle loop.
 ///
@@ -109,7 +109,6 @@ pub trait Observer: std::any::Any {
 pub struct LockstepWidth {
     sum: u64,
     cycles: u64,
-    scratch: Vec<u16>,
 }
 
 impl LockstepWidth {
@@ -128,7 +127,7 @@ impl LockstepWidth {
         self.cycles
     }
 
-    /// Clears the recorded totals (the scratch allocation is kept).
+    /// Clears the recorded totals.
     pub fn reset(&mut self) {
         self.sum = 0;
         self.cycles = 0;
@@ -178,28 +177,21 @@ impl Observer for LockstepWidth {
         if fetch_reqs.is_empty() {
             return;
         }
-        // Perfect lockstep (every requester at one PC) is the dominant
-        // fetch shape — recognise it without sorting.
-        let addr = fetch_reqs[0].addr;
-        if fetch_reqs.iter().all(|r| r.addr == addr) {
-            self.sum += fetch_reqs.len() as u64;
-            self.cycles += 1;
-            return;
-        }
-        self.scratch.clear();
-        self.scratch.extend(fetch_reqs.iter().map(|r| r.addr));
-        self.scratch.sort_unstable();
-        let mut best = 1u64;
-        let mut run = 1u64;
-        for w in self.scratch.windows(2) {
-            if w[0] == w[1] {
-                run += 1;
-                best = best.max(run);
-            } else {
-                run = 1;
+        // The widest same-PC group, without sorting: count each request's
+        // address over the requests from it onward (a group's first
+        // member counts the whole group) and stop once the remainder
+        // cannot beat the best. Perfect lockstep — the dominant fetch
+        // shape — finishes after the first count; at most one request per
+        // core keeps the quadratic worst case small.
+        let mut best = 0;
+        for (i, r) in fetch_reqs.iter().enumerate() {
+            if fetch_reqs.len() - i <= best {
+                break;
             }
+            let group = fetch_reqs[i..].iter().filter(|q| q.addr == r.addr).count();
+            best = best.max(group);
         }
-        self.sum += best;
+        self.sum += best as u64;
         self.cycles += 1;
     }
 }
@@ -330,9 +322,7 @@ impl Observer for PcTrace {
 /// [`ulp_mem::BankedMemory::per_bank_accesses`]).
 #[derive(Debug, Clone)]
 pub struct BankHeatMap {
-    banks: usize,
-    bank_words: usize,
-    mapping: BankMapping,
+    geometry: BankGeometry,
     window: u64,
     /// Cycles observed in the in-flight window.
     seen: u64,
@@ -351,9 +341,7 @@ impl BankHeatMap {
         assert!(banks > 0 && bank_words > 0, "empty memory geometry");
         assert!(window > 0, "zero-cycle window");
         BankHeatMap {
-            banks,
-            bank_words,
-            mapping,
+            geometry: BankGeometry::new(banks * bank_words, banks, mapping),
             window,
             seen: 0,
             current: vec![0; banks],
@@ -389,12 +377,8 @@ impl BankHeatMap {
         totals
     }
 
-    fn bank_of(&self, addr: u16) -> usize {
-        self.mapping.bank_of(addr, self.banks, self.bank_words)
-    }
-
     fn flush(&mut self) {
-        let row = std::mem::replace(&mut self.current, vec![0; self.banks]);
+        let row = std::mem::replace(&mut self.current, vec![0; self.geometry.banks()]);
         self.rows.push(row);
         self.seen = 0;
     }
@@ -407,9 +391,9 @@ impl Observer for BankHeatMap {
 
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut w = Writer::default();
-        w.u32(self.banks as u32);
-        w.u32(self.bank_words as u32);
-        w.u8(match self.mapping {
+        w.u32(self.geometry.banks() as u32);
+        w.u32(self.geometry.bank_words() as u32);
+        w.u8(match self.geometry.mapping() {
             BankMapping::Blocked => 0,
             BankMapping::Interleaved => 1,
         });
@@ -441,15 +425,15 @@ impl Observer for BankHeatMap {
         };
         // The geometry is construction state, not accumulated state: a
         // snapshot only loads into a heat map configured identically.
-        if banks as usize != self.banks
-            || bank_words as usize != self.bank_words
-            || mapping != self.mapping
+        if banks as usize != self.geometry.banks()
+            || bank_words as usize != self.geometry.bank_words()
+            || mapping != self.geometry.mapping()
             || window != self.window
         {
             return false;
         }
         let Some(seen) = r.u64() else { return false };
-        let mut current = vec![0u64; self.banks];
+        let mut current = vec![0u64; self.geometry.banks()];
         for slot in &mut current {
             let Some(count) = r.u64() else { return false };
             *slot = count;
@@ -457,7 +441,7 @@ impl Observer for BankHeatMap {
         let Some(nrows) = r.u32() else { return false };
         let mut rows = Vec::with_capacity((nrows as usize).min(1 << 10));
         for _ in 0..nrows {
-            let mut row = vec![0u64; self.banks];
+            let mut row = vec![0u64; self.geometry.banks()];
             for slot in &mut row {
                 let Some(count) = r.u64() else { return false };
                 *slot = count;
@@ -476,7 +460,7 @@ impl Observer for BankHeatMap {
     fn on_dm(&mut self, _cycle: u64, dm_reqs: &[DmRequest], granted: &[bool]) {
         for r in dm_reqs {
             if granted.get(r.core).copied().unwrap_or(false) {
-                let bank = self.bank_of(r.addr);
+                let bank = self.geometry.bank_of(r.addr);
                 self.current[bank] += 1;
             }
         }
@@ -561,8 +545,8 @@ mod tests {
     #[test]
     fn bank_heat_map_interleaved_mapping_and_quiet_run() {
         let map = BankHeatMap::new(4, 16, BankMapping::Interleaved, 8);
-        assert_eq!(map.bank_of(5), 1);
-        assert_eq!(map.bank_of(7), 3);
+        assert_eq!(map.geometry.bank_of(5), 1);
+        assert_eq!(map.geometry.bank_of(7), 3);
         // A heat map that saw nothing reports no rows and zero totals.
         assert!(map.rows().is_empty());
         assert_eq!(map.totals(), vec![0; 4]);

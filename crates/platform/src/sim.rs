@@ -9,7 +9,7 @@ use crate::stats::SimStats;
 use std::fmt;
 use ulp_cpu::{Core, CoreState, MemAccess, SyncRequest, WakeReason};
 use ulp_isa::asm::Program;
-use ulp_isa::OpClass;
+use ulp_isa::{decode, Instr};
 use ulp_jit::{ExecTier, TranslationCache};
 use ulp_mem::{
     Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, IXbar, ImGrant, ImRequest,
@@ -63,14 +63,10 @@ pub struct ObserverHandle {
 /// heap allocation in steady state.
 #[derive(Debug, Default)]
 struct CycleBuffers {
-    /// Phase of every core at the start of the cycle.
-    phases: Vec<CoreState>,
     /// Fetch requests of cores in their fetch phase.
     fetch_reqs: Vec<ImRequest>,
     /// Granted fetches (filled by the I-Xbar).
     im_grants: Vec<ImGrant>,
-    /// Cores whose fetch was granted this cycle.
-    fetched: Vec<bool>,
     /// `SINC`/`SDEC` requests of cores in their execute phase.
     sync_reqs: Vec<(usize, SyncRequest)>,
     /// Events produced by the synchronizer (filled by `step_into`).
@@ -79,22 +75,21 @@ struct CycleBuffers {
     dm_reqs: Vec<DmRequest>,
     /// Grants and releases (filled by the D-Xbar).
     dm_outcome: DXbarOutcome,
-    /// Cores whose data access was granted this cycle.
+    /// Cores whose data access was granted this cycle, indexed by core
+    /// (filled only for observers' [`Observer::on_dm`]).
     granted: Vec<bool>,
 }
 
 impl CycleBuffers {
     fn new(num_cores: usize) -> CycleBuffers {
         CycleBuffers {
-            phases: Vec::with_capacity(num_cores),
             fetch_reqs: Vec::with_capacity(num_cores),
             im_grants: Vec::with_capacity(num_cores),
-            fetched: vec![false; num_cores],
             sync_reqs: Vec::with_capacity(num_cores),
             sync_events: SyncEvents::default(),
             dm_reqs: Vec::with_capacity(num_cores),
             dm_outcome: DXbarOutcome::default(),
-            granted: vec![false; num_cores],
+            granted: Vec::with_capacity(num_cores),
         }
     }
 }
@@ -115,6 +110,13 @@ pub struct Platform {
     cfg: PlatformConfig,
     cores: Vec<Core>,
     imem: BankedMemory,
+    /// Instruction memory decoded once per write: `predecoded[a]` is the
+    /// decoding of IM word `a` (`None` for an illegal word). It covers
+    /// the words from 0 up to the highest one written since the last
+    /// reset — the loaded program's extent, not the whole IM. Every IM
+    /// write goes through a loader backdoor or a restore, and each of
+    /// them updates the table.
+    predecoded: Vec<Option<Instr>>,
     dmem: BankedMemory,
     ixbar: IXbar,
     dxbar: DXbar,
@@ -125,9 +127,11 @@ pub struct Platform {
     lockstep: LockstepWidth,
     jit: TranslationCache,
     /// Per-core trace cursor: `(block, offset)` of the micro-op the core
-    /// fetches (or is executing) inside a translated trace. A pure hint —
-    /// every use re-validates it against the core's PC — kept so
-    /// consecutive compiled cycles skip the cache lookup inside a block.
+    /// fetches (or is executing) inside a translated trace, left by a
+    /// uniform lockstep batch. A hint — every use re-validates it against
+    /// the core's PC — that lets the next batch skip the cache lookup and
+    /// marks a fetch/execute pair split by a slice boundary; every
+    /// interpreter cycle clears it.
     cursors: Vec<Option<(u32, u16)>>,
     /// Observers registered through [`Platform::attach`], notified on
     /// every step/run in attach order (before any `*_with` slice). Each
@@ -166,6 +170,7 @@ impl Platform {
         Ok(Platform {
             cores: (0..cfg.num_cores).map(|i| Core::new(i as u8)).collect(),
             imem: BankedMemory::new(cfg.im_words, cfg.im_banks, cfg.im_mapping),
+            predecoded: Vec::new(),
             dmem: BankedMemory::new(cfg.dm_words, cfg.dm_banks, cfg.dm_mapping),
             ixbar: IXbar::new(cfg.im_banks),
             dxbar: DXbar::new(cfg.dm_banks, cfg.dxbar_policy),
@@ -271,6 +276,7 @@ impl Platform {
             *core = Core::new(i as u8);
         }
         self.imem.clear();
+        self.predecoded.clear();
         self.dmem.clear();
         self.ixbar.reset();
         self.dxbar.reset();
@@ -291,15 +297,32 @@ impl Platform {
     /// Loads an assembled program into instruction memory.
     pub fn load_program(&mut self, program: &Program) {
         for (addr, word) in program.iter() {
-            self.imem.poke(addr, word);
+            self.write_im(addr, word);
         }
         self.jit.mark_im_dirty();
     }
 
     /// Loads raw words into instruction memory at `base`.
     pub fn load_im(&mut self, base: u16, words: &[u16]) {
-        self.imem.load(base, words);
+        for (i, &word) in words.iter().enumerate() {
+            self.write_im(base.wrapping_add(i as u16), word);
+        }
         self.jit.mark_im_dirty();
+    }
+
+    /// Writes one IM word through the backdoor and keeps the predecoded
+    /// table in step, growing it to cover the word.
+    fn write_im(&mut self, addr: u16, word: u16) {
+        self.imem.poke(addr, word);
+        let index = self.imem.index(addr);
+        if index < self.predecoded.len() {
+            self.predecoded[index] = decode(word).ok();
+        } else {
+            let imem = &self.imem;
+            let from = self.predecoded.len();
+            self.predecoded
+                .extend((from..=index).map(|a| decode(imem.peek(a as u16)).ok()));
+        }
     }
 
     /// Loads raw words into data memory at `base`.
@@ -401,7 +424,7 @@ impl Platform {
     fn step_cycle<const OBSERVED: bool>(&mut self, observers: &mut [&mut dyn Observer]) {
         self.cycle += 1;
         let cycle = self.cycle;
-        let mut buf = std::mem::take(&mut self.buffers);
+        let buf = &mut self.buffers;
 
         if OBSERVED {
             for o in observers.iter_mut() {
@@ -409,50 +432,43 @@ impl Platform {
             }
         }
 
-        // Interrupt polling happens at instruction boundaries, before the
-        // cycle's fetch phase, so a vectoring core fetches its handler in
-        // this same cycle.
-        for core in &mut self.cores {
-            core.poll_interrupt();
-        }
-
-        // Snapshot the phase of every core: each core receives exactly one
-        // cycle-consuming call below, based on where it *started* the
-        // cycle (fetch completing this cycle executes next cycle). One
-        // pass over the snapshot collects every request list and per-phase
-        // work flag, so the phases below never rescan cores that have
-        // nothing for them.
-        buf.phases.clear();
-        buf.phases.extend(self.cores.iter().map(|c| c.state()));
+        // One scan over the cores polls interrupts and snapshots every
+        // core's phase. Polling happens at the instruction boundary before
+        // the fetch phase, so a vectoring core fetches its handler in this
+        // same cycle. Each core then receives exactly one cycle-consuming
+        // call below, based on where it *started* the cycle (a fetch
+        // completing this cycle executes next cycle). The scan collects
+        // every request list and, per waiting phase, a bit per core, so
+        // the phases below never rescan cores that have nothing for them.
         buf.fetch_reqs.clear();
         buf.sync_reqs.clear();
         buf.dm_reqs.clear();
-        let mut any_sync_issued = false;
-        let mut any_sleeping = false;
-        let mut any_held = false;
+        let mut sync_issued: u32 = 0;
+        let mut sleeping: u32 = 0;
+        let mut held: u32 = 0;
         // Cores whose execute phase is core-local (neither memory nor
-        // sync) and completes at the end of the cycle; bit per core id.
+        // sync) and completes at the end of the cycle.
         let mut local_done: u32 = 0;
-        for (i, phase) in buf.phases.iter().enumerate() {
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            core.poll_interrupt();
+            let phase = core.state();
             if OBSERVED {
                 for o in observers.iter_mut() {
-                    o.on_core_phase(cycle, i, self.cores[i].pc(), *phase);
+                    o.on_core_phase(cycle, i, core.pc(), phase);
                 }
             }
             match phase {
-                CoreState::Fetch => {
-                    if let Some(addr) = self.cores[i].fetch_request() {
-                        buf.fetch_reqs.push(ImRequest { core: i, addr });
-                    }
-                }
+                CoreState::Fetch => buf.fetch_reqs.push(ImRequest {
+                    core: i,
+                    addr: core.pc(),
+                }),
                 CoreState::Execute(_) => {
-                    let c = &self.cores[i];
-                    if let Some(r) = c.sync_request() {
+                    if let Some(r) = core.sync_request() {
                         buf.sync_reqs.push((i, r));
-                    } else if let Some(r) = c.mem_request() {
+                    } else if let Some(r) = core.mem_request() {
                         buf.dm_reqs.push(DmRequest {
                             core: i,
-                            pc: c.pc(),
+                            pc: core.pc(),
                             addr: r.addr,
                             access: match r.access {
                                 MemAccess::Read => Access::Read,
@@ -463,9 +479,9 @@ impl Platform {
                         local_done |= 1 << i;
                     }
                 }
-                CoreState::SyncIssued(_) => any_sync_issued = true,
-                CoreState::Sleeping => any_sleeping = true,
-                CoreState::Held { .. } => any_held = true,
+                CoreState::SyncIssued(_) => sync_issued |= 1 << i,
+                CoreState::Sleeping => sleeping |= 1 << i,
+                CoreState::Held { .. } => held |= 1 << i,
                 CoreState::Halted => {}
             }
         }
@@ -480,18 +496,28 @@ impl Platform {
 
         self.ixbar
             .arbitrate_into(&buf.fetch_reqs, &mut self.imem, &mut buf.im_grants);
-        buf.fetched.fill(false);
+        let mut fetched: u32 = 0;
         for g in &buf.im_grants {
-            buf.fetched[g.core] = true;
-            if let Err(error) = self.cores[g.core].on_fetch_granted(g.word) {
-                self.fault.get_or_insert(PlatformError::CoreFault {
-                    core: g.core,
-                    error,
-                });
+            fetched |= 1 << g.core;
+            let core = &mut self.cores[g.core];
+            // A granted fetch inside the predecoded extent skips decode;
+            // the fetch address is the PC, and any PC below the extent is
+            // its own IM index. Other words, illegal ones included, take
+            // the decoding path, which raises the fault in this cycle.
+            match self.predecoded.get(core.pc() as usize) {
+                Some(&Some(instr)) => core.on_fetch_granted_decoded(instr),
+                _ => {
+                    if let Err(error) = core.on_fetch_granted(g.word) {
+                        self.fault.get_or_insert(PlatformError::CoreFault {
+                            core: g.core,
+                            error,
+                        });
+                    }
+                }
             }
         }
         for r in &buf.fetch_reqs {
-            if !buf.fetched[r.core] {
+            if fetched & 1 << r.core == 0 {
                 self.cores[r.core].note_fetch_stall();
             }
         }
@@ -508,20 +534,12 @@ impl Platform {
                 }
             }
             // Cores inside the in-flight RMW spend this cycle there.
-            if any_sync_issued {
-                for (i, phase) in buf.phases.iter().enumerate() {
-                    if matches!(phase, CoreState::SyncIssued(_)) {
-                        self.cores[i].note_sync_active();
-                    }
-                }
+            for i in bits(sync_issued) {
+                self.cores[i].note_sync_active();
             }
             // Sleeping cores burn their cycle before any wake edge.
-            if any_sleeping {
-                for (i, phase) in buf.phases.iter().enumerate() {
-                    if matches!(phase, CoreState::Sleeping) {
-                        self.cores[i].note_sleep();
-                    }
-                }
+            for i in bits(sleeping) {
+                self.cores[i].note_sleep();
             }
             for &(core, sleep) in &events.completed {
                 self.cores[core].complete_sync(sleep);
@@ -537,46 +555,41 @@ impl Platform {
             for &(core, _) in &buf.sync_reqs {
                 self.cores[core].skip_sync_op();
             }
-            if any_sleeping {
-                for (i, phase) in buf.phases.iter().enumerate() {
-                    if matches!(phase, CoreState::Sleeping) {
-                        self.cores[i].note_sleep();
-                    }
-                }
+            for i in bits(sleeping) {
+                self.cores[i].note_sleep();
             }
         }
 
         // ---- execute phase: data memory --------------------------------
         // Held cores burn their cycle before any release edge.
-        if any_held {
-            for (i, phase) in buf.phases.iter().enumerate() {
-                if matches!(phase, CoreState::Held { .. }) {
-                    self.cores[i].note_hold();
-                }
-            }
+        for i in bits(held) {
+            self.cores[i].note_hold();
         }
 
         self.dxbar
             .arbitrate_into(&buf.dm_reqs, &mut self.dmem, &mut buf.dm_outcome);
-        buf.granted.fill(false);
+        let mut granted: u32 = 0;
         for g in &buf.dm_outcome.grants {
             match *g {
                 DmGrant::Complete { core, data } => {
-                    buf.granted[core] = true;
+                    granted |= 1 << core;
                     self.cores[core].complete_execute(data);
                 }
                 DmGrant::Hold { core, data } => {
-                    buf.granted[core] = true;
+                    granted |= 1 << core;
                     self.cores[core].hold_with_data(data);
                 }
             }
         }
         for r in &buf.dm_reqs {
-            if !buf.granted[r.core] {
+            if granted & 1 << r.core == 0 {
                 self.cores[r.core].note_mem_stall();
             }
         }
         if OBSERVED {
+            buf.granted.clear();
+            buf.granted
+                .extend((0..self.cores.len()).map(|i| granted & 1 << i != 0));
             for o in observers.iter_mut() {
                 o.on_dm(cycle, &buf.dm_reqs, &buf.granted);
             }
@@ -586,9 +599,7 @@ impl Platform {
         }
 
         // ---- execute phase: everything else -----------------------------
-        while local_done != 0 {
-            let i = local_done.trailing_zeros() as usize;
-            local_done &= local_done - 1;
+        for i in bits(local_done) {
             self.cores[i].complete_execute(None);
         }
 
@@ -597,7 +608,6 @@ impl Platform {
                 o.on_cycle_end(cycle, &self.cores);
             }
         }
-        self.buffers = buf;
     }
 
     /// Runs until every core halts. Equivalent to `run_with(&mut [])`.
@@ -733,9 +743,9 @@ impl Platform {
         outcome.map(RunProgress::Done)
     }
 
-    /// The compiled-tier run loop: each iteration either replays one cycle
-    /// through the translated traces or hands exactly one cycle to the
-    /// interpreter (cold code, fidelity boundaries, possible DM conflicts).
+    /// The compiled-tier run loop: each iteration either runs a uniform
+    /// lockstep batch or hands exactly one cycle to the interpreter
+    /// (cores out of lockstep, cold code, fidelity boundaries).
     fn run_compiled(&mut self, limit: u64) -> Result<RunProgress, PlatformError> {
         self.revalidate_jit();
         loop {
@@ -748,9 +758,9 @@ impl Platform {
                 return Ok(RunProgress::Paused);
             }
             if self.step_tier_once(limit) {
-                // A compiled cycle cannot fault, halt the last core or
-                // deadlock — those all live behind fidelity boundaries
-                // that force the interpreter path.
+                // A batch cannot fault, halt the last core or deadlock —
+                // those all live behind fidelity boundaries that force
+                // the interpreter path.
                 continue;
             }
             if let Some(fault) = self.fault {
@@ -766,10 +776,10 @@ impl Platform {
     }
 
     /// Advances the simulation honoring the configured execution tier: on
-    /// a compiled-tier platform the cycle is replayed through hot traces
-    /// whenever it is trace-safe and interpreted otherwise. Returns whether
-    /// the work executed in the compiled tier (always `false` on an
-    /// interpreted-tier platform).
+    /// a compiled-tier platform a uniform lockstep batch runs whenever
+    /// every core allows one, and one interpreter cycle otherwise. Returns
+    /// whether a batch ran (always `false` on an interpreted-tier
+    /// platform).
     ///
     /// A compiled step may advance *more than one cycle*: when every core
     /// runs the same pure-op trace in lockstep, the whole run executes as
@@ -804,21 +814,21 @@ impl Platform {
         }
     }
 
-    /// One tiered cycle (cache already revalidated): tries the compiled
-    /// path, falling back to a single unobserved interpreter cycle.
-    /// `limit` caps how far a lockstep batch may advance the cycle count
-    /// (the run-slicing boundary of [`Platform::run_until`]).
+    /// One tiered step (cache already revalidated): a uniform lockstep
+    /// batch when every core allows one, otherwise a single unobserved
+    /// interpreter cycle. `limit` caps how far a batch may advance the
+    /// cycle count (the run-slicing boundary of [`Platform::run_until`]).
     fn step_tier_once(&mut self, limit: u64) -> bool {
-        // Interrupt polling happens at instruction boundaries before the
-        // fetch phase, exactly like the interpreter cycle. `poll_interrupt`
-        // is idempotent, so the fallback cycle re-polling is harmless; a
-        // redirected core's cursor hint simply fails PC validation.
-        for core in &mut self.cores {
-            core.poll_interrupt();
-        }
-        if self.try_step_compiled(limit) {
-            self.jit.stats_mut().compiled_cycles += 1;
+        let sync_idle = !self.sync.as_ref().is_some_and(Synchronizer::is_busy);
+        if sync_idle && self.try_step_uniform_batch(limit) {
             return true;
+        }
+        // Hotness also advances on the interpreter's cycles: each probes
+        // the first fetching core's PC, a sample that reaches every block
+        // the cores run, so code they mostly run out of lockstep is
+        // translated by the time a lockstep group reaches it.
+        if let Some(core) = self.cores.iter().find(|c| c.state() == CoreState::Fetch) {
+            self.jit.note_fetch(core.pc(), &self.imem);
         }
         self.cursors.fill(None);
         self.step_cycle::<false>(&mut []);
@@ -826,250 +836,95 @@ impl Platform {
         false
     }
 
-    /// Attempts to execute the next cycle entirely inside translated
-    /// traces. Succeeds only when every core's contribution is trace-safe:
-    /// the synchronizer is idle, fetching cores sit on a hot trace,
-    /// executing cores run trace-safe micro-ops, and the data-memory
-    /// request set is conflict-free and lock-free. On success the cycle is
-    /// *replayed* exactly as the interpreter would execute it — same
-    /// crossbar arbitration, same rotating priorities, same counters — so
-    /// all architectural state and statistics stay bit-identical; the only
-    /// work skipped is per-instruction decode and the phase machinery that
-    /// provably does nothing this cycle.
-    fn try_step_compiled(&mut self, limit: u64) -> bool {
-        if self.sync.as_ref().is_some_and(Synchronizer::is_busy) {
-            return false;
-        }
-        let n = self.cores.len();
-        debug_assert!(n <= 16, "plan scratch is sized for the core-count cap");
-
-        // ---- uniform lockstep batch --------------------------------------
-        // The dominant shape of SPMD hot loops: every non-halted core in
-        // Fetch at the *same* PC. If the trace ahead is a run of pure
-        // (core-local, non-memory) micro-ops, the whole run executes here
-        // — per op one broadcast fetch cycle plus one execute cycle, with
-        // the same statistics the interpreter would record, but without
-        // per-cycle arbitration, request buffers or phase scans.
-        if self.try_step_uniform_batch(limit) {
-            return true;
-        }
-
-        // ---- plan: classify every core's cycle, commit nothing ---------
-        let mut fetchers = [(0usize, 0u32, 0u16); 16];
-        let mut nfetch = 0usize;
-        let mut dm_plan = [(0usize, 0u16, Access::Read); 16];
-        let mut ndm = 0usize;
-        let mut local_done: u32 = 0;
-        let mut any_active = false;
-        for i in 0..n {
-            match self.cores[i].state() {
-                CoreState::Halted => {}
-                CoreState::Fetch => {
-                    any_active = true;
-                    let pc = self.cores[i].pc();
-                    // The cursor is a hint: trust it only if it points at
-                    // this PC inside its trace (traces mirror validated
-                    // IM, so any cursor passing this check is correct).
-                    let cursor = self.cursors[i]
-                        .filter(|&(b, off)| {
-                            let block = self.jit.block(b);
-                            (off as usize) < block.len() && block.start.wrapping_add(off) == pc
-                        })
-                        .or_else(|| self.jit.lookup_hot(pc, &self.imem).map(|b| (b, 0)));
-                    let Some(cur) = cursor else {
-                        return false; // cold code: interpret this cycle
-                    };
-                    self.cursors[i] = Some(cur);
-                    fetchers[nfetch] = (i, cur.0, cur.1);
-                    nfetch += 1;
-                }
-                CoreState::Execute(instr) => {
-                    any_active = true;
-                    match instr.op_class() {
-                        OpClass::Pure | OpClass::Control => local_done |= 1 << i,
-                        OpClass::Mem => {
-                            let r = self.cores[i].mem_request().expect("Mem class requests DM");
-                            let access = match r.access {
-                                MemAccess::Read => Access::Read,
-                                MemAccess::Write(v) => Access::Write(v),
-                            };
-                            dm_plan[ndm] = (i, r.addr, access);
-                            ndm += 1;
-                        }
-                        OpClass::Boundary => return false,
-                    }
-                }
-                // Held, SyncIssued, Sleeping: fidelity boundaries.
-                _ => return false,
-            }
-        }
-        if !any_active {
-            return false;
-        }
-        // The DM request set must be conflict-free: per bank at most one
-        // request unless all of them are same-address reads, and no locked
-        // words. Pairwise is fine at <= 16 requests.
-        for a in 0..ndm {
-            let (_, addr_a, access_a) = dm_plan[a];
-            if self.dmem.is_locked(addr_a) {
-                return false;
-            }
-            for &(_, addr_b, access_b) in &dm_plan[a + 1..ndm] {
-                if self.dmem.bank_of(addr_a) == self.dmem.bank_of(addr_b)
-                    && !(addr_a == addr_b && access_a == Access::Read && access_b == Access::Read)
-                {
-                    return false;
-                }
-            }
-        }
-
-        // ---- commit: replay the exact interpreter cycle ----------------
-        self.cycle += 1;
-        let cycle = self.cycle;
-        let mut buf = std::mem::take(&mut self.buffers);
-
-        // Fetch phase: addresses come from the cores as usual; the real
-        // I-Xbar arbitration keeps rotating priority, conflict accounting
-        // and memory energy counters bit-identical. Only decode is skipped:
-        // granted cores receive the pre-decoded micro-op. (With no fetcher
-        // the interpreter's fetch phase is a no-op: the width recorder
-        // ignores empty cycles and the crossbar grants nothing.)
-        if nfetch > 0 {
-            buf.fetch_reqs.clear();
-            for &(i, _, _) in &fetchers[..nfetch] {
-                buf.fetch_reqs.push(ImRequest {
-                    core: i,
-                    addr: self.cores[i].pc(),
-                });
-            }
-            self.lockstep.on_fetch(cycle, &buf.fetch_reqs);
-            self.ixbar
-                .arbitrate_into(&buf.fetch_reqs, &mut self.imem, &mut buf.im_grants);
-            buf.fetched.fill(false);
-            for g in &buf.im_grants {
-                buf.fetched[g.core] = true;
-            }
-            for &(i, block, off) in &fetchers[..nfetch] {
-                if buf.fetched[i] {
-                    let op = self.jit.block(block).ops[off as usize];
-                    self.cores[i].on_fetch_granted_decoded(op.instr);
-                } else {
-                    self.cores[i].note_fetch_stall();
-                }
-            }
-        }
-
-        // Sync phase: skipped — the synchronizer is idle and no core
-        // issues a sync op, so the interpreter's step would be a no-op.
-
-        // DM phase: the plan guarantees every request is served. (With no
-        // request the interpreter's DM phase is a no-op too: the plan
-        // excludes held cores, so there is nothing to release either.)
-        if ndm > 0 {
-            buf.dm_reqs.clear();
-            for &(i, addr, access) in &dm_plan[..ndm] {
-                buf.dm_reqs.push(DmRequest {
-                    core: i,
-                    pc: self.cores[i].pc(),
-                    addr,
-                    access,
-                });
-            }
-            self.dxbar
-                .arbitrate_into(&buf.dm_reqs, &mut self.dmem, &mut buf.dm_outcome);
-            debug_assert_eq!(
-                buf.dm_outcome.grants.len(),
-                ndm,
-                "conflict-free plan fully served"
-            );
-            debug_assert!(buf.dm_outcome.releases.is_empty());
-            for g in &buf.dm_outcome.grants {
-                match *g {
-                    DmGrant::Complete { core, data } => {
-                        self.cores[core].complete_execute(data);
-                        self.advance_cursor(core);
-                    }
-                    // A hold needs unserved synchronous peers; a
-                    // conflict-free cycle serves everyone.
-                    DmGrant::Hold { .. } => unreachable!("conflict-free cycle cannot hold"),
-                }
-            }
-        }
-
-        // Execute phase: core-local micro-ops complete with no operand.
-        while local_done != 0 {
-            let i = local_done.trailing_zeros() as usize;
-            local_done &= local_done - 1;
-            self.cores[i].complete_execute(None);
-            self.advance_cursor(i);
-        }
-
-        self.buffers = buf;
-        true
-    }
-
     /// The uniform-lockstep batch: when every non-halted core is fetching
     /// the same PC on a hot trace whose next micro-ops are a run of
-    /// [`OpClass::Pure`] ops, executes the whole run (capped by the cycle
-    /// budget) in one call. Per op this replays exactly one broadcast
-    /// fetch cycle and one core-local execute cycle — identical memory,
-    /// crossbar, lockstep-width and core counters to the interpreter —
-    /// so architectural state and statistics stay bit-identical. Returns
-    /// whether a batch (≥ 1 op) ran. The batch never advances past
-    /// `limit`, so a sliced run pauses exactly where the interpreter
-    /// would; because each pair of cycles contributes the same counters
-    /// regardless of how the run is split, slicing stays bit-identical.
+    /// [`ulp_isa::OpClass::Pure`] ops, executes the whole run (capped by
+    /// the cycle budget) in one call. Per op this records exactly one
+    /// broadcast fetch cycle and one core-local execute cycle — identical
+    /// memory, crossbar, lockstep-width and core counters to the
+    /// interpreter — so architectural state and statistics stay
+    /// bit-identical. Returns whether a batch (≥ 1 cycle) ran.
+    ///
+    /// The batch never advances past `limit`, so a sliced run pauses
+    /// exactly where the interpreter would. An odd budget splits a
+    /// fetch/execute pair across the slice boundary: the fetch half runs
+    /// here and the cursors keep the op the group is executing, so the
+    /// next call — after a pause, possibly a checkpoint and restore —
+    /// completes it and carries on with the run. Every cycle counts the
+    /// same whatever the slicing, so sliced runs stay bit-identical,
+    /// [`ulp_jit::JitStats`] included.
     fn try_step_uniform_batch(&mut self, limit: u64) -> bool {
         let mut active = [0usize; 16];
         let mut m = 0usize;
         let mut pc = 0u16;
-        for (i, core) in self.cores.iter().enumerate() {
-            match core.state() {
-                CoreState::Halted => {}
-                CoreState::Fetch => {
-                    if m == 0 {
-                        pc = core.pc();
-                    } else if core.pc() != pc {
-                        return false;
-                    }
-                    active[m] = i;
-                    m += 1;
-                }
+        let mut executing = false;
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            // Interrupts are polled at the instruction boundary before the
+            // fetch phase, exactly like the interpreter cycle; if no batch
+            // runs, the interpreter re-polls, which changes nothing, and a
+            // redirected core's cursor hint fails PC validation.
+            core.poll_interrupt();
+            let at_execute = match core.state() {
+                CoreState::Halted => continue,
+                CoreState::Fetch => false,
+                CoreState::Execute(_) => true,
                 _ => return false,
+            };
+            if m == 0 {
+                (pc, executing) = (core.pc(), at_execute);
+            } else if core.pc() != pc || at_execute != executing {
+                return false;
             }
+            active[m] = i;
+            m += 1;
         }
         if m == 0 {
             return false;
         }
-        // All fetchers share one PC: resolve the trace through the first
-        // core's cursor hint (validated) or the hot-block cache.
-        let leader = active[0];
-        let Some((b, off)) = self.cursors[leader]
-            .filter(|&(b, off)| {
-                let block = self.jit.block(b);
-                (off as usize) < block.len() && block.start.wrapping_add(off) == pc
-            })
-            .or_else(|| self.jit.lookup_hot(pc, &self.imem).map(|b| (b, 0)))
-        else {
+        // All active cores share one PC: resolve the trace through the
+        // first core's cursor hint (validated) or, for a fetching group,
+        // the hot-block cache. An executing group is in a split pair
+        // exactly when its cursor survived: every interpreter cycle
+        // clears the cursors.
+        let cursor = self.cursors[active[0]].filter(|&(b, off)| {
+            let block = self.jit.block(b);
+            (off as usize) < block.len() && block.start.wrapping_add(off) == pc
+        });
+        let cursor = if executing {
+            cursor
+        } else {
+            cursor.or_else(|| self.jit.lookup_hot(pc, &self.imem))
+        };
+        let Some((b, mut off)) = cursor else {
             return false;
         };
         let block = self.jit.block(b);
         // Cap the run so the batch never overshoots the cycle budget or
         // the caller's slice limit (the interpreter would stop there, one
         // cycle at a time).
-        let budget_cycles = self.cfg.max_cycles.min(limit).saturating_sub(self.cycle);
+        let mut budget = self.cfg.max_cycles.min(limit).saturating_sub(self.cycle);
+        let start = self.cycle;
+        if executing {
+            if budget == 0 {
+                return false;
+            }
+            // The execute half of the split pair.
+            self.cycle += 1;
+            budget -= 1;
+            for &i in &active[..m] {
+                self.cores[i].complete_execute(None);
+            }
+            off += 1;
+        }
         let run = block.pure_run(off);
-        let k = run.min((budget_cycles / 2) as usize);
-        // An odd budget splits a fetch/execute pair across the slice
-        // boundary: execute the fetch half here (still one broadcast, so
-        // hit accounting matches the unsliced batch) and let the execute
-        // half complete after the pause, exactly as the interpreter would.
-        let split_pair = run > k && budget_cycles > 2 * k as u64;
-        if k == 0 && !split_pair {
+        let k = run.min((budget / 2) as usize);
+        let split_pair = run > k && budget > 2 * k as u64;
+        if self.cycle == start && k == 0 && !split_pair {
             return false;
         }
 
-        for step in 0..k {
+        let fetches = k + split_pair as usize;
+        for step in 0..fetches {
             let op = block.ops[off as usize + step];
             let at = block.start.wrapping_add(off).wrapping_add(step as u16);
             // Fetch cycle: one broadcast read serves the whole group.
@@ -1079,49 +934,26 @@ impl Platform {
             for &i in &active[..m] {
                 self.cores[i].on_fetch_granted_decoded(op.instr);
             }
+            if step == k {
+                // The split pair's execute half waits for the next call.
+                break;
+            }
             // Execute cycle: pure ops complete core-locally.
             self.cycle += 1;
             for &i in &active[..m] {
                 self.cores[i].complete_execute(None);
             }
         }
-        if split_pair {
-            let op = block.ops[off as usize + k];
-            let at = block.start.wrapping_add(off).wrapping_add(k as u16);
-            self.cycle += 1;
-            self.lockstep.note_uniform(m as u64);
-            self.ixbar.serve_uniform(&active[..m], at, &mut self.imem);
-            // The cursor stays on the op now executing; its completion
-            // (next cycle, possibly after a checkpoint/restore) advances
-            // it, so a resumed run re-enters the trace without a lookup.
-            for &i in &active[..m] {
-                self.cores[i].on_fetch_granted_decoded(op.instr);
-                self.cursors[i] = Some((b, off + k as u16));
-            }
-            let jit = self.jit.stats_mut();
-            jit.compiled_cycles += 2 * k as u64; // the caller counts one more
-            return true;
-        }
-        let end = off + k as u16;
-        let cursor = ((end as usize) < block.len()).then_some((b, end));
+        // The cursor names the op the group executes next (split pair)
+        // or fetches next; past the end of the trace it dies and the next
+        // fetch re-enters through the cache.
+        let next = off + k as u16;
+        let cursor = ((next as usize) < block.len()).then_some((b, next));
         for &i in &active[..m] {
             self.cursors[i] = cursor;
         }
-        let jit = self.jit.stats_mut();
-        jit.compiled_cycles += 2 * k as u64 - 1; // the caller counts one more
+        self.jit.stats_mut().compiled_cycles += self.cycle - start;
         true
-    }
-
-    /// After a compiled execute completion, points the core's cursor at
-    /// the next micro-op of its trace; past the end (including control
-    /// terminators) the cursor dies and the next fetch re-enters through
-    /// the cache at the new PC.
-    fn advance_cursor(&mut self, i: usize) {
-        if let Some((block, off)) = self.cursors[i] {
-            let next = off + 1;
-            self.cursors[i] =
-                ((next as usize) < self.jit.block(block).len()).then_some((block, next));
-        }
     }
 
     /// A deadlock: no core can make progress again — every non-halted core
@@ -1269,6 +1101,17 @@ impl Platform {
                 what: "instruction memory",
             });
         }
+        // Predecode the restored IM up to its last non-zero word: the
+        // words past it are zero, which the fetch path decodes itself.
+        let extent = ckpt
+            .imem
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |a| a + 1);
+        self.predecoded.clear();
+        self.predecoded
+            .extend(ckpt.imem.words[..extent].iter().map(|&w| decode(w).ok()));
         if !self.dmem.load_snapshot(&ckpt.dmem) {
             return Err(RestoreError::Corrupt {
                 what: "data memory",
@@ -1339,6 +1182,17 @@ impl Platform {
         }
         Ok(())
     }
+}
+
+/// The set bits of a per-core mask, lowest core first.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 #[cfg(test)]

@@ -505,3 +505,124 @@ fn run_summary_matches_cycle_count() {
     assert_eq!(summary.cycles, p.cycle());
     assert!(p.all_halted());
 }
+
+/// A divergent SPMD loop with a barrier: every core spins a data-dependent
+/// number of rounds, checks out, stores its result and halts.
+const BARRIER_LOOP_SRC: &str = "
+        rdid r1
+        mov  r2, r1
+        shl  r2, #11
+        li   r3, 18432
+        wrsync r3
+        movi r4, #5
+outer:  sinc #0
+        mov  r5, r1
+        inc  r5
+spin:   addi r5, #-1
+        bne  spin
+        add  r6, r4
+        sdec #0
+        addi r4, #-1
+        bne  outer
+        st   r6, [r2]
+        halt";
+
+/// A different, shorter kernel at the same addresses.
+const OTHER_SRC: &str = "
+        rdid r1
+        mov  r2, r1
+        shl  r2, #11
+        movi r3, #9
+        add  r3, r1
+        st   r3, [r2, #1]
+        halt";
+
+/// Everything a run leaves behind: its outcome (a fault carries the
+/// core, PC and word), the final cycle, the statistics and the cores'
+/// data banks.
+type RunEnd = (Result<RunSummary, PlatformError>, u64, SimStats, Vec<u16>);
+
+fn run_to_end(p: &mut Platform) -> RunEnd {
+    let outcome = p.run();
+    (outcome, p.cycle(), p.stats(), p.dm_slice(0, 8 * 2048))
+}
+
+/// The same run decoding every fetched word: with the predecoded table
+/// emptied, every fetch takes the decoding path.
+fn run_decoding_every_fetch(p: &mut Platform) -> RunEnd {
+    p.predecoded.clear();
+    run_to_end(p)
+}
+
+fn words(src: &str) -> Vec<u16> {
+    let program = assemble(src).unwrap_or_else(|e| panic!("asm: {e}"));
+    let mut image = vec![0u16; program.iter().map(|(a, _)| a as usize + 1).max().unwrap()];
+    for (addr, word) in program.iter() {
+        image[addr as usize] = word;
+    }
+    image
+}
+
+#[test]
+fn predecode_follows_load_im_over_a_loaded_program() {
+    let build = || {
+        let mut p = platform(true, BARRIER_LOOP_SRC);
+        p.load_im(0, &words(OTHER_SRC));
+        p
+    };
+    let mut p = build();
+    assert_eq!(p.predecoded.len(), words(BARRIER_LOOP_SRC).len());
+    let end = run_to_end(&mut p);
+    assert!(end.0.is_ok());
+    assert_eq!(end.3[1], 9, "core 0 ran the overwriting kernel");
+    assert_eq!(end, run_decoding_every_fetch(&mut build()));
+}
+
+#[test]
+fn predecode_is_rebuilt_on_restore_onto_a_platform_that_ran_another_kernel() {
+    let mut recycled = platform(true, BARRIER_LOOP_SRC);
+    recycled.run().unwrap();
+
+    let mut source = platform(true, OTHER_SRC);
+    assert!(!source.run_until(6).unwrap().is_done());
+    let ckpt = source.snapshot();
+
+    recycled.restore_from(&ckpt).unwrap();
+    assert_eq!(recycled.predecoded.len(), words(OTHER_SRC).len());
+    let end = run_to_end(&mut recycled);
+    assert!(end.0.is_ok());
+    assert_eq!(end, run_to_end(&mut source), "resumes like the original");
+    let mut oracle = Platform::restore(&ckpt).unwrap();
+    assert_eq!(end, run_decoding_every_fetch(&mut oracle));
+}
+
+#[test]
+fn illegal_word_beyond_the_extent_faults_like_decoding_every_fetch() {
+    // The jump lands on an illegal word written far past the program (the
+    // table grows across the gap), then on the same word through an
+    // address that aliases it past the end of the IM.
+    let im_words = PlatformConfig::paper_with_sync().im_words as u16;
+    for target in [300u16, im_words + 300] {
+        let src = format!("li r1, {target}\n jr r1");
+        let build = || {
+            let mut p = platform(true, &src);
+            p.load_im(300, &[0x0001]);
+            p
+        };
+        let mut p = build();
+        assert_eq!(p.predecoded.len(), 301);
+        assert_eq!(p.predecoded[300], None);
+        let end = run_to_end(&mut p);
+        let Err(PlatformError::CoreFault { error, .. }) = end.0 else {
+            panic!("expected a core fault, got {:?}", end.0);
+        };
+        assert_eq!(
+            error,
+            ulp_cpu::CoreError::IllegalInstruction {
+                pc: target,
+                word: 0x0001
+            }
+        );
+        assert_eq!(end, run_decoding_every_fetch(&mut build()));
+    }
+}

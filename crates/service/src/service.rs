@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ulp_kernels::{
     resume_benchmark_checkpointed, run_benchmark_checkpointed, run_benchmark_reusing_with,
-    CheckpointControl, RunnerError,
+    CheckpointControl, RunnerError, WorkloadError,
 };
 use ulp_platform::{
     BankHeatMap, Checkpoint, ExecTier, PcTrace, Platform, PlatformConfig, VcdTracer,
@@ -499,16 +499,27 @@ pub enum SubmitError {
     /// submission paths return this rather than blocking on a drain that
     /// can never come.
     PoolDead,
+    /// The spec's workload is one the kernels cannot run
+    /// ([`ulp_kernels::WorkloadConfig::validate`]). Returned by both
+    /// submission paths before the job is admitted; retrying the same
+    /// spec cannot succeed.
+    InvalidSpec {
+        /// The refused job.
+        spec: JobSpec,
+        /// What is wrong with its workload.
+        error: WorkloadError,
+    },
 }
 
 impl SubmitError {
     /// Takes the rejected spec back out for a retry (`None` for
     /// [`SubmitError::PoolDead`] — there is nothing left to retry
-    /// against).
+    /// against; an [`SubmitError::InvalidSpec`] spec needs fixing first).
     pub fn into_spec(self) -> Option<JobSpec> {
         match self {
             SubmitError::AtCapacity { spec, .. } => Some(spec),
             SubmitError::QuotaExceeded { spec, .. } => Some(spec),
+            SubmitError::InvalidSpec { spec, .. } => Some(spec),
             SubmitError::PoolDead => None,
         }
     }
@@ -526,6 +537,9 @@ impl fmt::Display for SubmitError {
                 "submission rejected: tenant {tenant} at its quota of {quota} in-flight jobs"
             ),
             SubmitError::PoolDead => write!(f, "submission rejected: a service worker died"),
+            SubmitError::InvalidSpec { error, .. } => {
+                write!(f, "submission rejected: invalid workload: {error}")
+            }
         }
     }
 }
@@ -1244,15 +1258,10 @@ impl SimService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::AtCapacity`] and [`SubmitError::QuotaExceeded`]
+    /// [`SubmitError::AtCapacity`], [`SubmitError::QuotaExceeded`] and
+    /// [`SubmitError::InvalidSpec`] (a workload the kernels cannot run)
     /// with the spec inside; [`SubmitError::PoolDead`] when a worker
     /// panicked.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a workload size outside the kernel layout's capacity
-    /// (the kernels would panic the worker on it), so that class of
-    /// invalid submission fails in the submitting thread, not the pool.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submit_inner(spec, false)
     }
@@ -1266,23 +1275,17 @@ impl SimService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::PoolDead`] when a worker panicked — the only way a
-    /// blocking submission fails.
-    ///
-    /// # Panics
-    ///
-    /// Like [`SimService::submit`], panics on a workload size outside the
-    /// kernel layout's capacity.
+    /// [`SubmitError::InvalidSpec`] for a workload the kernels cannot run
+    /// and [`SubmitError::PoolDead`] when a worker panicked — the only
+    /// ways a blocking submission fails.
     pub fn submit_blocking(&mut self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submit_inner(spec, true)
     }
 
     fn submit_inner(&mut self, spec: JobSpec, block: bool) -> Result<JobId, SubmitError> {
-        assert!(
-            spec.workload.n >= 4 && spec.workload.n <= ulp_kernels::layout::MAX_N,
-            "job workload n = {} outside supported range",
-            spec.workload.n
-        );
+        if let Err(error) = spec.workload.validate() {
+            return Err(SubmitError::InvalidSpec { spec, error });
+        }
         let quota = self.shared.policy(spec.tenant).quota as u64;
         let capacity = self.shared.capacity as u64;
         // Admission control: reserve a backlog slot (and the tenant's

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use ulp_kernels::{Benchmark, WorkloadConfig};
+use ulp_kernels::{Benchmark, WorkloadConfig, WorkloadError};
 use ulp_service::{
     JobError, JobId, JobSpec, Priority, ServiceConfig, SimService, SubmitError, TenantId,
     TenantPolicy,
@@ -131,6 +131,38 @@ fn rejected_spec_is_returned_for_retry() {
     let stats = service.finish();
     assert_eq!(stats.jobs_run, 3);
     assert_eq!(stats.rejections, 1);
+}
+
+/// A workload the kernels cannot run is refused at submission with a
+/// typed error on both paths — never a panic — and the pool keeps serving.
+#[test]
+fn invalid_workload_is_refused_and_the_pool_keeps_serving() {
+    let mut service = bounded_pool(2, 8);
+    for n in [3, ulp_kernels::layout::MAX_N + 1] {
+        let spec = JobSpec::new(Benchmark::Sqrt32, 2, workload(n));
+        match service.submit(spec.clone()) {
+            Err(SubmitError::InvalidSpec { spec, error }) => {
+                assert_eq!(spec.workload.n, n);
+                assert_eq!(error, WorkloadError::SamplesOutOfRange { n });
+            }
+            other => panic!("n = {n}: expected InvalidSpec, got {other:?}"),
+        }
+        match service.submit_blocking(spec) {
+            Err(SubmitError::InvalidSpec { error, .. }) => {
+                assert_eq!(error, WorkloadError::SamplesOutOfRange { n });
+            }
+            other => panic!("n = {n}: expected InvalidSpec, got {other:?}"),
+        }
+    }
+    let ok = service
+        .submit(JobSpec::new(Benchmark::Sqrt32, 2, workload(16)))
+        .expect("a valid spec is admitted");
+    let result = service.recv().expect("the pool still serves");
+    assert_eq!(result.id, ok);
+    assert!(result.outcome.is_ok());
+    let stats = service.finish();
+    assert_eq!(stats.jobs_run, 1);
+    assert_eq!(stats.rejections, 0, "refusals are not backpressure");
 }
 
 /// Priority ordering: with one worker pinned down by a long normal job, a
@@ -496,6 +528,7 @@ proptest! {
                         over_quota += 1;
                     }
                     Err(SubmitError::PoolDead) => panic!("pool died"),
+                    Err(e @ SubmitError::InvalidSpec { .. }) => panic!("valid spec refused: {e}"),
                 }
             } else {
                 accepted.push(service.submit_blocking(spec).expect("pool alive"));

@@ -200,6 +200,7 @@ impl Synchronizer {
     }
 
     /// Whether a read-modify-write is in flight.
+    #[inline]
     pub fn is_busy(&self) -> bool {
         self.inflight.is_some()
     }
