@@ -159,29 +159,15 @@ impl IXbar {
             .unwrap_or(0)
             .max(self.rr.len().min(64));
 
-        // Resolve every request's bank once. Consecutive requests for the
-        // same address (the lockstep shape) reuse the previous mapping.
+        // Resolve every request's bank once.
         let mut req_banks = std::mem::take(&mut self.req_banks);
         req_banks.clear();
-        let first_bank = imem.bank_of(requests[0].addr);
-        let mut last = (requests[0].addr, first_bank);
-        let mut one_bank = true;
-        for r in requests {
-            if r.addr != last.0 {
-                last = (r.addr, imem.bank_of(r.addr));
-                one_bank &= last.1 == first_bank;
-            }
-            req_banks.push(last.1);
-        }
+        req_banks.extend(requests.iter().map(|r| imem.bank_of(r.addr)));
 
-        // One requested bank is the dominant shape: lockstep, or diverged
-        // cores inside one kernel image. Otherwise a request bitmap visits
-        // only the banks that actually have a request this cycle (in
-        // ascending order, like a full sweep would) instead of scanning
-        // every bank of the memory.
-        if one_bank {
-            self.serve_bank(first_bank, ncores, requests, &req_banks, imem, grants);
-        } else if imem.banks() <= u128::BITS as usize {
+        // A request bitmap visits only the banks that actually have a
+        // request this cycle (in ascending order, like a full sweep would)
+        // instead of scanning every bank of the memory.
+        if imem.banks() <= u128::BITS as usize {
             let mut pending: u128 = 0;
             for &b in &req_banks {
                 pending |= 1 << b;

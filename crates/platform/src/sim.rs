@@ -9,7 +9,7 @@ use crate::stats::SimStats;
 use std::fmt;
 use ulp_cpu::{Core, CoreState, MemAccess, SyncRequest, WakeReason};
 use ulp_isa::asm::Program;
-use ulp_isa::{decode, Instr};
+use ulp_isa::{decode, Instr, OpClass};
 use ulp_jit::{ExecTier, TranslationCache};
 use ulp_mem::{
     Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, IXbar, ImGrant, ImRequest,
@@ -824,9 +824,9 @@ impl Platform {
             return true;
         }
         // Hotness also advances on the interpreter's cycles: each probes
-        // the first fetching core's PC, a sample that reaches every block
-        // the cores run, so code they mostly run out of lockstep is
-        // translated by the time a lockstep group reaches it.
+        // the first fetching core's PC, so a block the cores first run
+        // out of lockstep can already be translated when a lockstep
+        // group reaches it.
         if let Some(core) = self.cores.iter().find(|c| c.state() == CoreState::Fetch) {
             self.jit.note_fetch(core.pc(), &self.imem);
         }
@@ -864,10 +864,14 @@ impl Platform {
             // runs, the interpreter re-polls, which changes nothing, and a
             // redirected core's cursor hint fails PC validation.
             core.poll_interrupt();
+            // An executing core may finish in the batch only when its own
+            // instruction is core-local: a cursor can outlive the cycles
+            // that moved the group on (manual or observed stepping), so
+            // it never vouches for the op being executed.
             let at_execute = match core.state() {
                 CoreState::Halted => continue,
                 CoreState::Fetch => false,
-                CoreState::Execute(_) => true,
+                CoreState::Execute(instr) if instr.op_class() == OpClass::Pure => true,
                 _ => return false,
             };
             if m == 0 {
@@ -883,9 +887,10 @@ impl Platform {
         }
         // All active cores share one PC: resolve the trace through the
         // first core's cursor hint (validated) or, for a fetching group,
-        // the hot-block cache. An executing group is in a split pair
-        // exactly when its cursor survived: every interpreter cycle
-        // clears the cursors.
+        // the hot-block cache. An executing group continues a trace only
+        // through its cursor (a split pair, or a pure op fetched by a
+        // manual step after a batch); without one the interpreter runs
+        // the cycle.
         let cursor = self.cursors[active[0]].filter(|&(b, off)| {
             let block = self.jit.block(b);
             (off as usize) < block.len() && block.start.wrapping_add(off) == pc

@@ -626,3 +626,61 @@ fn illegal_word_beyond_the_extent_faults_like_decoding_every_fetch() {
         assert_eq!(end, run_decoding_every_fetch(&mut build()));
     }
 }
+
+/// A lockstep loop whose pure runs end just before a load and a store:
+/// every core works in its own DM bank, so the group never diverges.
+const PURE_THEN_MEM_SRC: &str = "
+        rdid r1
+        mov  r2, r1
+        shl  r2, #11
+        movi r4, #40
+loop:   addi r3, #1
+        add  r5, r3
+        addi r6, #2
+        ld   r7, [r2]
+        add  r7, r5
+        add  r7, r6
+        st   r7, [r2]
+        addi r4, #-1
+        bne  loop
+        halt";
+
+/// Manual steps between compiled slices: a compiled slice may pause right
+/// after a batch, leaving the group's cursor on the next op of its trace
+/// (a load, a store or another pure op). A manual `step` then fetches that
+/// op, and the next compiled run must finish it exactly like the
+/// interpreter — a memory op through the D-Xbar, never inside a batch.
+#[test]
+fn manual_step_after_a_compiled_slice_matches_the_interpreter() {
+    let strip = |mut end: RunEnd| {
+        end.2.jit = Default::default();
+        end
+    };
+    let golden = {
+        let mut p = platform(false, PURE_THEN_MEM_SRC);
+        strip(run_to_end(&mut p))
+    };
+    assert!(golden.0.is_ok());
+    let (ld_pc, st_pc) = (7u16, 10u16);
+    let mut paused_on_mem = [false; 2];
+    for limit in 1..400 {
+        let mut p = platform(false, PURE_THEN_MEM_SRC);
+        p.set_exec_tier(ExecTier::Compiled);
+        p.jit.set_hot_threshold(1);
+        if p.run_until(limit).unwrap().is_done() {
+            break;
+        }
+        let pc = p.core(0).pc();
+        let on_mem = p.cursors[0].is_some() && p.core(0).state() == CoreState::Fetch;
+        if on_mem && pc == ld_pc {
+            paused_on_mem[0] = true;
+        }
+        if on_mem && pc == st_pc {
+            paused_on_mem[1] = true;
+        }
+        p.step();
+        let end = strip(run_to_end(&mut p));
+        assert_eq!(end, golden, "paused at cycle {limit}");
+    }
+    assert_eq!(paused_on_mem, [true, true], "a slice paused before each");
+}
