@@ -6,8 +6,8 @@
 //!   fast path, which must stay within 10% of `bare`;
 //! * `instrumented` — `step_with` carrying real observers (lockstep
 //!   width + VCD), the full observer dispatch cost;
-//! * `compiled` — `Platform::step_tiered` on the compiled hot-block
-//!   tier: uniform lockstep batches, otherwise interpreter cycles.
+//! * `compiled` — `Platform::step_tiered` on the compiled tier: uniform
+//!   lockstep batches, otherwise interpreter cycles.
 //!
 //! A regression that reintroduces per-cycle allocation or observer
 //! dispatch on the bare path shows up here directly.
@@ -50,7 +50,7 @@ spin:   addi r5, #-1       ; data-dependent 1..8 rounds
 /// branch, the inner-loop shape of the paper kernels and the compiled
 /// tier's target. (`SPIN_SRC` deliberately diverges and synchronizes, so
 /// it measures the interpreter and the fallback path; this one measures
-/// translated-trace execution.)
+/// uniform lockstep batches.)
 const LOCKSTEP_SRC: &str = "
         rdid r1
         mov  r2, r1
@@ -71,8 +71,7 @@ fn prepared_platform_on(src: &str, cores: usize, tier: ExecTier) -> Platform {
         .with_exec_tier(tier);
     let mut p = Platform::new(cfg).expect("valid config");
     p.load_program(&program);
-    // Warm past the prologue (and, on the compiled tier, past block
-    // discovery and translation) so every iteration measures steady state.
+    // Warm past the prologue so every iteration measures steady state.
     for _ in 0..512 {
         p.step_tiered();
     }

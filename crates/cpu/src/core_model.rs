@@ -230,6 +230,13 @@ impl Core {
         self.irq_pending = true;
     }
 
+    /// Whether an interrupt is raised but not yet accepted (masked, or
+    /// waiting for the core's next instruction boundary).
+    #[inline]
+    pub fn irq_pending(&self) -> bool {
+        self.irq_pending
+    }
+
     /// Polls for a pending interrupt at an instruction boundary.
     ///
     /// Called by the platform at the start of a cycle for cores in

@@ -49,5 +49,5 @@ pub(crate) use encode::tests::sample_instrs as encode_test_samples;
 pub use cond::{Cond, Flags};
 pub use encode::{decode, encode, DecodeError, EncodeError};
 pub use instr::{AluOp, CsrOp, Instr, ShiftKind, UnaryOp};
-pub use ir::{MicroOp, OpClass};
+pub use ir::OpClass;
 pub use reg::{InvalidRegError, Reg};

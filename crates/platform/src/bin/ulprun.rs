@@ -194,11 +194,8 @@ fn main() -> ExitCode {
     }
     if opts.exec_tier == ExecTier::Compiled {
         println!(
-            "jit: {} translations, {} hits, {} compiled cycles, {} fallback cycles",
-            stats.jit.translations,
-            stats.jit.hits,
-            stats.jit.compiled_cycles,
-            stats.jit.fallback_cycles
+            "jit: {} compiled cycles, {} fallback cycles",
+            stats.jit.compiled_cycles, stats.jit.fallback_cycles
         );
     }
 

@@ -2,8 +2,8 @@
 //!
 //! A [`Checkpoint`] is the complete architectural and statistical state of
 //! a [`crate::Platform`] between cycles: cores, both memories, crossbar
-//! arbiters, the synchronizer, power-relevant counters, the translation
-//! cache of the compiled tier, and the state of every attached observer
+//! arbiters, the synchronizer, power-relevant counters, the counters of
+//! the compiled tier, and the state of every attached observer
 //! that opts into checkpointing. [`crate::Platform::snapshot`] produces
 //! one, [`crate::Platform::restore`] / [`crate::Platform::restore_from`]
 //! re-apply it, and a resumed run is **bit-identical** to one that never
@@ -17,11 +17,11 @@
 //! byte-level encoding lives only in this module; the component crates
 //! export plain-data snapshot structs and know nothing about bytes.
 
-use crate::config::PlatformConfig;
+use crate::config::{ExecTier, PlatformConfig};
 use crate::error::{PlatformError, RestoreError};
+use crate::stats::JitStats;
 use ulp_cpu::{CoreError, CoreSnapshot, CoreStateSnapshot, CoreStats};
 use ulp_isa::arch;
-use ulp_jit::{ExecTier, JitSnapshot, JitStats};
 use ulp_mem::{
     BankMapping, DXbarSnapshot, DXbarStats, IXbarSnapshot, IXbarStats, MemSnapshot, MemStats,
     ServingPolicy,
@@ -31,7 +31,7 @@ use ulp_sync::{SyncSnapshot, SyncStats};
 /// Version of the checkpoint wire format. Bumped on any layout change;
 /// [`Checkpoint::from_bytes`] rejects other versions with
 /// [`RestoreError::SchemaMismatch`].
-pub const CHECKPOINT_SCHEMA: u32 = 1;
+pub const CHECKPOINT_SCHEMA: u32 = 2;
 
 /// Leading magic of every checkpoint blob.
 const MAGIC: [u8; 4] = *b"ULPK";
@@ -45,7 +45,7 @@ const MAGIC: [u8; 4] = *b"ULPK";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The configuration of the checkpointed platform. Restore adopts it
-    /// wholesale (budget, tier, thresholds); only the *structural* part
+    /// wholesale (budget, tier); only the *structural* part
     /// (cores, memories, synchronizer, policy) must match the target.
     pub config: PlatformConfig,
     /// Cycles simulated when the snapshot was taken.
@@ -68,12 +68,8 @@ pub struct Checkpoint {
     pub lockstep_sum: u64,
     /// Built-in lockstep-width recorder: counted fetch cycles.
     pub lockstep_cycles: u64,
-    /// Translation-cache state of the compiled tier (hotness counters and
-    /// translated-entry set; traces are re-derived from `imem`).
-    pub jit: JitSnapshot,
-    /// Per-core trace cursors as `(entry pc, offset)`; re-linked to block
-    /// indices on restore so hit accounting stays bit-identical.
-    pub cursors: Vec<Option<(u16, u16)>>,
+    /// The compiled tier's counters of the run so far.
+    pub jit: JitStats,
     /// `(label, state)` of every attached observer that returned state
     /// from `Observer::save_state`.
     pub observers: Vec<(String, Vec<u8>)>,
@@ -118,18 +114,8 @@ impl Checkpoint {
         }
         w.u64(self.lockstep_sum);
         w.u64(self.lockstep_cycles);
-        write_jit(&mut w, &self.jit);
-        w.len(self.cursors.len());
-        for cursor in &self.cursors {
-            match cursor {
-                None => w.u8(0),
-                Some((pc, off)) => {
-                    w.u8(1);
-                    w.u16(*pc);
-                    w.u16(*off);
-                }
-            }
-        }
+        w.u64(self.jit.compiled_cycles);
+        w.u64(self.jit.fallback_cycles);
         w.len(self.observers.len());
         for (label, state) in &self.observers {
             w.len(label.len());
@@ -188,20 +174,11 @@ impl Checkpoint {
         };
         let lockstep_sum = r.u64().ok_or(RestoreError::Truncated)?;
         let lockstep_cycles = r.u64().ok_or(RestoreError::Truncated)?;
-        let jit = read_jit(&mut r)?;
-        let ncursors = r.len()?;
-        let mut cursors = Vec::with_capacity(ncursors.min(16));
-        for _ in 0..ncursors {
-            cursors.push(match r.u8().ok_or(RestoreError::Truncated)? {
-                0 => None,
-                1 => {
-                    let pc = r.u16().ok_or(RestoreError::Truncated)?;
-                    let off = r.u16().ok_or(RestoreError::Truncated)?;
-                    Some((pc, off))
-                }
-                _ => return Err(RestoreError::Corrupt { what: "cursor tag" }),
-            });
-        }
+        let jit = JitStats {
+            compiled_cycles: r.u64().ok_or(RestoreError::Truncated)?,
+            fallback_cycles: r.u64().ok_or(RestoreError::Truncated)?,
+            ..JitStats::default()
+        };
         let nobs = r.len()?;
         let mut observers = Vec::with_capacity(nobs.min(64));
         for _ in 0..nobs {
@@ -234,7 +211,6 @@ impl Checkpoint {
             lockstep_sum,
             lockstep_cycles,
             jit,
-            cursors,
             observers,
         })
     }
@@ -353,7 +329,6 @@ fn write_config(w: &mut Writer, cfg: &PlatformConfig) {
         ExecTier::Interpreted => 0,
         ExecTier::Compiled => 1,
     });
-    w.u32(cfg.jit_hot_threshold);
 }
 
 fn mapping_tag(m: BankMapping) -> u8 {
@@ -405,7 +380,6 @@ fn read_config(r: &mut Reader) -> Result<PlatformConfig, RestoreError> {
         1 => ExecTier::Compiled,
         _ => return Err(RestoreError::Corrupt { what: "exec tier" }),
     };
-    let jit_hot_threshold = r.u32().ok_or(RestoreError::Truncated)?;
     if !r.done() {
         return Err(RestoreError::Corrupt {
             what: "config length",
@@ -423,7 +397,6 @@ fn read_config(r: &mut Reader) -> Result<PlatformConfig, RestoreError> {
         dm_banks,
         max_cycles,
         exec_tier,
-        jit_hot_threshold,
     })
 }
 
@@ -872,68 +845,6 @@ fn read_sync(r: &mut Reader) -> Result<SyncSnapshot, RestoreError> {
     })
 }
 
-fn write_jit(w: &mut Writer, j: &JitSnapshot) {
-    w.u32(j.hot_threshold);
-    w.len(j.counters.len());
-    for &(word, count) in &j.counters {
-        w.u32(word);
-        w.u32(count);
-    }
-    w.len(j.translated.len());
-    for &pc in &j.translated {
-        w.u16(pc);
-    }
-    w.len(j.untranslatable.len());
-    for &pc in &j.untranslatable {
-        w.u16(pc);
-    }
-    for v in [
-        j.stats.translations,
-        j.stats.hits,
-        j.stats.compiled_cycles,
-        j.stats.fallback_cycles,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn read_jit(r: &mut Reader) -> Result<JitSnapshot, RestoreError> {
-    let hot_threshold = r.u32().ok_or(RestoreError::Truncated)?;
-    let n = r.len()?;
-    let mut counters = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let word = r.u32().ok_or(RestoreError::Truncated)?;
-        let count = r.u32().ok_or(RestoreError::Truncated)?;
-        counters.push((word, count));
-    }
-    let n = r.len()?;
-    let mut translated = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        translated.push(r.u16().ok_or(RestoreError::Truncated)?);
-    }
-    let n = r.len()?;
-    let mut untranslatable = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        untranslatable.push(r.u16().ok_or(RestoreError::Truncated)?);
-    }
-    let mut v = [0u64; 4];
-    for slot in &mut v {
-        *slot = r.u64().ok_or(RestoreError::Truncated)?;
-    }
-    Ok(JitSnapshot {
-        hot_threshold,
-        counters,
-        translated,
-        untranslatable,
-        stats: JitStats {
-            translations: v[0],
-            hits: v[1],
-            compiled_cycles: v[2],
-            fallback_cycles: v[3],
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,6 +904,16 @@ mod tests {
             Err(RestoreError::SchemaMismatch { expected, .. })
                 if expected == CHECKPOINT_SCHEMA
         ));
+        // Schema 1 carried the translation cache and trace cursors.
+        let mut schema_1 = bytes.clone();
+        schema_1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&schema_1),
+            Err(RestoreError::SchemaMismatch {
+                found: 1,
+                expected: 2
+            })
+        );
 
         for cut in [3, 10, bytes.len() / 2, bytes.len() - 1] {
             assert_eq!(

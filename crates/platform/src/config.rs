@@ -2,8 +2,45 @@
 
 use crate::error::ConfigError;
 use ulp_isa::arch;
-use ulp_jit::ExecTier;
 use ulp_mem::{BankMapping, ServingPolicy};
+
+/// Which execution strategy a platform uses for `run`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum ExecTier {
+    /// The cycle-accurate interpreter (the default).
+    #[default]
+    Interpreted,
+    /// The interpreter plus the uniform lockstep batch: while every
+    /// active core fetches the same PC, the run of core-local
+    /// ([`ulp_isa::OpClass::Pure`]) ops ahead of it executes in one call,
+    /// its ops read from the predecoded instruction memory. Every other
+    /// cycle is an interpreter cycle. Results are bit-identical to
+    /// [`ExecTier::Interpreted`].
+    Compiled,
+}
+
+impl std::fmt::Display for ExecTier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecTier::Interpreted => write!(f, "interpreted"),
+            ExecTier::Compiled => write!(f, "compiled"),
+        }
+    }
+}
+
+impl std::str::FromStr for ExecTier {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ExecTier, String> {
+        match s {
+            "interpreted" => Ok(ExecTier::Interpreted),
+            "compiled" => Ok(ExecTier::Compiled),
+            other => Err(format!(
+                "unknown exec tier {other:?} (expected \"interpreted\" or \"compiled\")"
+            )),
+        }
+    }
+}
 
 /// Configuration of a [`crate::Platform`] instance.
 ///
@@ -39,12 +76,10 @@ pub struct PlatformConfig {
     /// Simulation cycle budget for [`crate::Platform::run`].
     pub max_cycles: u64,
     /// Execution strategy: the cycle-accurate interpreter (default) or the
-    /// compiled hot-block tier with interpreter fallback. Both produce
-    /// bit-identical architectural state and statistics.
+    /// compiled tier, which batches uniform lockstep runs and falls back
+    /// to the interpreter otherwise. Both produce bit-identical
+    /// architectural state and statistics.
     pub exec_tier: ExecTier,
-    /// Hotness threshold of the compiled tier: a block entry PC must be
-    /// reached this many times before it is translated.
-    pub jit_hot_threshold: u32,
 }
 
 impl Default for PlatformConfig {
@@ -70,7 +105,6 @@ impl PlatformConfig {
             dm_banks: arch::DM_BANKS,
             max_cycles: 200_000_000,
             exec_tier: ExecTier::Interpreted,
-            jit_hot_threshold: ulp_jit::DEFAULT_HOT_THRESHOLD,
         }
     }
 

@@ -49,10 +49,49 @@ mod stats;
 pub mod vcd;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
-pub use config::PlatformConfig;
+pub use config::{ExecTier, PlatformConfig};
 pub use error::{ConfigError, PlatformError, RestoreError};
 pub use observer::{BankHeatMap, LockstepWidth, Observer, PcTrace};
 pub use sim::{ObserverHandle, Platform, RunProgress, RunSummary};
-pub use stats::SimStats;
-pub use ulp_jit::{ExecTier, JitStats, TranslationCache};
+pub use stats::{JitStats, SimStats};
 pub use vcd::VcdTracer;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exec_tier_parses_and_displays() {
+        assert_eq!("interpreted".parse(), Ok(ExecTier::Interpreted));
+        assert_eq!("compiled".parse(), Ok(ExecTier::Compiled));
+        assert!("native".parse::<ExecTier>().is_err());
+        assert_eq!(ExecTier::Compiled.to_string(), "compiled");
+    }
+
+    #[test]
+    fn jit_stats_merge_sums_every_counter() {
+        let mut a = JitStats {
+            translations: 1,
+            hits: 2,
+            compiled_cycles: 3,
+            fallback_cycles: 4,
+        };
+        let b = JitStats {
+            translations: 10,
+            hits: 20,
+            compiled_cycles: 30,
+            fallback_cycles: 40,
+        };
+        a.merge(&b);
+        assert_eq!(
+            a,
+            JitStats {
+                translations: 11,
+                hits: 22,
+                compiled_cycles: 33,
+                fallback_cycles: 44,
+            }
+        );
+        assert!((a.compiled_fraction() - 33.0 / 77.0).abs() < 1e-12);
+    }
+}

@@ -535,7 +535,7 @@ mod tests {
             sync: None,
             lockstep_width_sum: 0,
             lockstep_width_cycles: 0,
-            jit: ulp_jit::JitStats::default(),
+            jit: crate::JitStats::default(),
         };
         map.on_run_end(&Ok(RunSummary { cycles: 3 }), &stats);
         assert_eq!(map.rows(), &[vec![1, 0, 2, 0], vec![0, 0, 0, 1]]);

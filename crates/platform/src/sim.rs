@@ -2,15 +2,14 @@
 //! the synchronizer.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::PlatformConfig;
+use crate::config::{ExecTier, PlatformConfig};
 use crate::error::{ConfigError, PlatformError, RestoreError};
 use crate::observer::{LockstepWidth, Observer};
-use crate::stats::SimStats;
+use crate::stats::{JitStats, SimStats};
 use std::fmt;
 use ulp_cpu::{Core, CoreState, MemAccess, SyncRequest, WakeReason};
 use ulp_isa::asm::Program;
 use ulp_isa::{decode, Instr, OpClass};
-use ulp_jit::{ExecTier, TranslationCache};
 use ulp_mem::{
     Access, BankedMemory, DXbar, DXbarOutcome, DmGrant, DmRequest, IXbar, ImGrant, ImRequest,
 };
@@ -117,6 +116,11 @@ pub struct Platform {
     /// write goes through a loader backdoor or a restore, and each of
     /// them updates the table.
     predecoded: Vec<Option<Instr>>,
+    /// `pure_runs[a]` is the number of consecutive [`OpClass::Pure`] ops
+    /// in `predecoded` from word `a` on — the length of the uniform
+    /// lockstep batch the compiled tier may run from there. It spans the
+    /// predecoded extent and is refreshed after every IM write.
+    pure_runs: Vec<u16>,
     dmem: BankedMemory,
     ixbar: IXbar,
     dxbar: DXbar,
@@ -125,14 +129,8 @@ pub struct Platform {
     fault: Option<PlatformError>,
     buffers: CycleBuffers,
     lockstep: LockstepWidth,
-    jit: TranslationCache,
-    /// Per-core trace cursor: `(block, offset)` of the micro-op the core
-    /// fetches (or is executing) inside a translated trace, left by a
-    /// uniform lockstep batch. A hint — every use re-validates it against
-    /// the core's PC — that lets the next batch skip the cache lookup and
-    /// marks a fetch/execute pair split by a slice boundary; every
-    /// interpreter cycle clears it.
-    cursors: Vec<Option<(u32, u16)>>,
+    /// This run's compiled-tier counters.
+    jit: JitStats,
     /// Observers registered through [`Platform::attach`], notified on
     /// every step/run in attach order (before any `*_with` slice). Each
     /// entry keeps the id its [`ObserverHandle`] was minted with.
@@ -171,6 +169,7 @@ impl Platform {
             cores: (0..cfg.num_cores).map(|i| Core::new(i as u8)).collect(),
             imem: BankedMemory::new(cfg.im_words, cfg.im_banks, cfg.im_mapping),
             predecoded: Vec::new(),
+            pure_runs: Vec::new(),
             dmem: BankedMemory::new(cfg.dm_words, cfg.dm_banks, cfg.dm_mapping),
             ixbar: IXbar::new(cfg.im_banks),
             dxbar: DXbar::new(cfg.dm_banks, cfg.dxbar_policy),
@@ -179,8 +178,7 @@ impl Platform {
             fault: None,
             buffers: CycleBuffers::new(cfg.num_cores),
             lockstep: LockstepWidth::new(),
-            jit: TranslationCache::new(cfg.jit_hot_threshold),
-            cursors: vec![None; cfg.num_cores],
+            jit: JitStats::default(),
             attached: Vec::new(),
             next_observer: 0,
             cfg,
@@ -258,13 +256,6 @@ impl Platform {
     /// the next run.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.cfg.exec_tier = tier;
-        self.cursors.fill(None);
-    }
-
-    /// The translation cache of the compiled tier (hotness counters,
-    /// cached traces, per-run counters).
-    pub fn translation_cache(&self) -> &TranslationCache {
-        &self.jit
     }
 
     /// Returns the platform to its power-on state — cores reset, memories
@@ -277,6 +268,7 @@ impl Platform {
         }
         self.imem.clear();
         self.predecoded.clear();
+        self.pure_runs.clear();
         self.dmem.clear();
         self.ixbar.reset();
         self.dxbar.reset();
@@ -286,12 +278,7 @@ impl Platform {
         self.cycle = 0;
         self.fault = None;
         self.lockstep.reset();
-        // The translation cache intentionally survives reset: reloading the
-        // same kernel must hit the existing traces. Zeroing the IM above
-        // made its fingerprint stale, so flag it for revalidation.
-        self.jit.begin_run();
-        self.jit.mark_im_dirty();
-        self.cursors.fill(None);
+        self.jit = JitStats::default();
     }
 
     /// Loads an assembled program into instruction memory.
@@ -299,7 +286,7 @@ impl Platform {
         for (addr, word) in program.iter() {
             self.write_im(addr, word);
         }
-        self.jit.mark_im_dirty();
+        self.refresh_pure_runs();
     }
 
     /// Loads raw words into instruction memory at `base`.
@@ -307,7 +294,7 @@ impl Platform {
         for (i, &word) in words.iter().enumerate() {
             self.write_im(base.wrapping_add(i as u16), word);
         }
-        self.jit.mark_im_dirty();
+        self.refresh_pure_runs();
     }
 
     /// Writes one IM word through the backdoor and keeps the predecoded
@@ -322,6 +309,20 @@ impl Platform {
             let from = self.predecoded.len();
             self.predecoded
                 .extend((from..=index).map(|a| decode(imem.peek(a as u16)).ok()));
+        }
+    }
+
+    /// Recomputes `pure_runs` over the predecoded extent in one reverse
+    /// pass.
+    fn refresh_pure_runs(&mut self) {
+        self.pure_runs.resize(self.predecoded.len(), 0);
+        let mut run = 0u16;
+        for (slot, op) in self.pure_runs.iter_mut().zip(&self.predecoded).rev() {
+            run = match op {
+                Some(instr) if instr.op_class() == OpClass::Pure => run.saturating_add(1),
+                _ => 0,
+            };
+            *slot = run;
         }
     }
 
@@ -676,7 +677,7 @@ impl Platform {
             // a fidelity boundary: the whole run stays on the interpreter.
             let start = self.cycle;
             let outcome = self.run_interpreted(limit, extra);
-            self.jit.stats_mut().fallback_cycles += self.cycle - start;
+            self.jit.fallback_cycles += self.cycle - start;
             return outcome;
         }
         self.run_interpreted(limit, extra)
@@ -745,9 +746,8 @@ impl Platform {
 
     /// The compiled-tier run loop: each iteration either runs a uniform
     /// lockstep batch or hands exactly one cycle to the interpreter
-    /// (cores out of lockstep, cold code, fidelity boundaries).
+    /// (cores out of lockstep, fidelity boundaries).
     fn run_compiled(&mut self, limit: u64) -> Result<RunProgress, PlatformError> {
-        self.revalidate_jit();
         loop {
             if self.cycle >= self.cfg.max_cycles {
                 return Err(PlatformError::Timeout {
@@ -782,22 +782,22 @@ impl Platform {
     /// platform).
     ///
     /// A compiled step may advance *more than one cycle*: when every core
-    /// runs the same pure-op trace in lockstep, the whole run executes as
+    /// runs the same pure-op run in lockstep, the whole run executes as
     /// one batch (check [`Platform::cycle`] for the actual progress).
     /// External events injected between steps ([`Platform::raise_irq`])
-    /// are polled at the next step, so they land on a batch boundary —
-    /// step-for-step interrupt timing against the interpreter requires
-    /// [`ExecTier::Interpreted`].
+    /// are polled at the next step, so they land on a batch boundary, and
+    /// a pending interrupt keeps every later step on the interpreter
+    /// until the core takes it — step-for-step interrupt timing against
+    /// the interpreter requires [`ExecTier::Interpreted`].
     pub fn step_tiered(&mut self) -> bool {
         if self.cfg.exec_tier == ExecTier::Compiled {
             if !self.attached.is_empty() {
                 // Observed cycles are fidelity boundaries: hand the cycle
                 // to the interpreter so every attached hook fires.
                 self.step_with(&mut []);
-                self.jit.stats_mut().fallback_cycles += 1;
+                self.jit.fallback_cycles += 1;
                 return false;
             }
-            self.revalidate_jit();
             self.step_tier_once(u64::MAX)
         } else {
             self.step();
@@ -805,54 +805,38 @@ impl Platform {
         }
     }
 
-    /// Revalidates the translation cache against the current IM; if the
-    /// cached traces were dropped, the per-core cursors into them die too.
-    fn revalidate_jit(&mut self) {
-        self.jit.revalidate(&self.imem);
-        if self.jit.blocks_cached() == 0 {
-            self.cursors.fill(None);
-        }
-    }
-
-    /// One tiered step (cache already revalidated): a uniform lockstep
-    /// batch when every core allows one, otherwise a single unobserved
-    /// interpreter cycle. `limit` caps how far a batch may advance the
-    /// cycle count (the run-slicing boundary of [`Platform::run_until`]).
+    /// One tiered step: a uniform lockstep batch when every core allows
+    /// one, otherwise a single unobserved interpreter cycle. `limit` caps
+    /// how far a batch may advance the cycle count (the run-slicing
+    /// boundary of [`Platform::run_until`]).
     fn step_tier_once(&mut self, limit: u64) -> bool {
         let sync_idle = !self.sync.as_ref().is_some_and(Synchronizer::is_busy);
         if sync_idle && self.try_step_uniform_batch(limit) {
             return true;
         }
-        // Hotness also advances on the interpreter's cycles: each probes
-        // the first fetching core's PC, so a block the cores first run
-        // out of lockstep can already be translated when a lockstep
-        // group reaches it.
-        if let Some(core) = self.cores.iter().find(|c| c.state() == CoreState::Fetch) {
-            self.jit.note_fetch(core.pc(), &self.imem);
-        }
-        self.cursors.fill(None);
         self.step_cycle::<false>(&mut []);
-        self.jit.stats_mut().fallback_cycles += 1;
+        self.jit.fallback_cycles += 1;
         false
     }
 
     /// The uniform-lockstep batch: when every non-halted core is fetching
-    /// the same PC on a hot trace whose next micro-ops are a run of
-    /// [`ulp_isa::OpClass::Pure`] ops, executes the whole run (capped by
-    /// the cycle budget) in one call. Per op this records exactly one
-    /// broadcast fetch cycle and one core-local execute cycle — identical
-    /// memory, crossbar, lockstep-width and core counters to the
-    /// interpreter — so architectural state and statistics stay
-    /// bit-identical. Returns whether a batch (≥ 1 cycle) ran.
+    /// the same PC and the ops from there are a run of
+    /// [`OpClass::Pure`] ops, executes the whole run (capped by the cycle
+    /// budget) in one call, reading each op from the predecoded IM. Per op
+    /// this records exactly one broadcast fetch cycle and one core-local
+    /// execute cycle — identical memory, crossbar, lockstep-width and core
+    /// counters to the interpreter — so architectural state and
+    /// statistics stay bit-identical. Returns whether a batch (≥ 1 cycle)
+    /// ran.
     ///
-    /// The batch never advances past `limit`, so a sliced run pauses
-    /// exactly where the interpreter would. An odd budget splits a
-    /// fetch/execute pair across the slice boundary: the fetch half runs
-    /// here and the cursors keep the op the group is executing, so the
-    /// next call — after a pause, possibly a checkpoint and restore —
-    /// completes it and carries on with the run. Every cycle counts the
-    /// same whatever the slicing, so sliced runs stay bit-identical,
-    /// [`ulp_jit::JitStats`] included.
+    /// A group whose cores all execute a pure op at one PC first
+    /// completes it, then carries on from the next PC. That is how a
+    /// fetch/execute pair split by `limit` finishes: the batch never
+    /// advances past `limit`, so a sliced run pauses exactly where the
+    /// interpreter would, and the next call — after a pause, possibly a
+    /// checkpoint and restore — completes the pair. Every cycle counts
+    /// the same whatever the slicing, so sliced runs stay bit-identical,
+    /// [`JitStats`] included.
     fn try_step_uniform_batch(&mut self, limit: u64) -> bool {
         let mut active = [0usize; 16];
         let mut m = 0usize;
@@ -861,19 +845,20 @@ impl Platform {
         for (i, core) in self.cores.iter_mut().enumerate() {
             // Interrupts are polled at the instruction boundary before the
             // fetch phase, exactly like the interpreter cycle; if no batch
-            // runs, the interpreter re-polls, which changes nothing, and a
-            // redirected core's cursor hint fails PC validation.
+            // runs, the interpreter re-polls, which changes nothing.
             core.poll_interrupt();
-            // An executing core may finish in the batch only when its own
-            // instruction is core-local: a cursor can outlive the cycles
-            // that moved the group on (manual or observed stepping), so
-            // it never vouches for the op being executed.
             let at_execute = match core.state() {
                 CoreState::Halted => continue,
                 CoreState::Fetch => false,
                 CoreState::Execute(instr) if instr.op_class() == OpClass::Pure => true,
                 _ => return false,
             };
+            // A pending interrupt could be taken at any instruction
+            // boundary inside the batch once an op unmasks it (`EI`,
+            // `WRSR`): leave such cycles to the interpreter.
+            if core.irq_pending() {
+                return false;
+            }
             if m == 0 {
                 (pc, executing) = (core.pc(), at_execute);
             } else if core.pc() != pc || at_execute != executing {
@@ -885,25 +870,6 @@ impl Platform {
         if m == 0 {
             return false;
         }
-        // All active cores share one PC: resolve the trace through the
-        // first core's cursor hint (validated) or, for a fetching group,
-        // the hot-block cache. An executing group continues a trace only
-        // through its cursor (a split pair, or a pure op fetched by a
-        // manual step after a batch); without one the interpreter runs
-        // the cycle.
-        let cursor = self.cursors[active[0]].filter(|&(b, off)| {
-            let block = self.jit.block(b);
-            (off as usize) < block.len() && block.start.wrapping_add(off) == pc
-        });
-        let cursor = if executing {
-            cursor
-        } else {
-            cursor.or_else(|| self.jit.lookup_hot(pc, &self.imem))
-        };
-        let Some((b, mut off)) = cursor else {
-            return false;
-        };
-        let block = self.jit.block(b);
         // Cap the run so the batch never overshoots the cycle budget or
         // the caller's slice limit (the interpreter would stop there, one
         // cycle at a time).
@@ -913,31 +879,30 @@ impl Platform {
             if budget == 0 {
                 return false;
             }
-            // The execute half of the split pair.
+            // Each core completes its own pure op.
             self.cycle += 1;
             budget -= 1;
             for &i in &active[..m] {
                 self.cores[i].complete_execute(None);
             }
-            off += 1;
+            pc = self.cores[active[0]].pc();
         }
-        let run = block.pure_run(off);
+        let run = self.pure_runs.get(pc as usize).copied().unwrap_or(0) as usize;
         let k = run.min((budget / 2) as usize);
         let split_pair = run > k && budget > 2 * k as u64;
         if self.cycle == start && k == 0 && !split_pair {
             return false;
         }
 
-        let fetches = k + split_pair as usize;
-        for step in 0..fetches {
-            let op = block.ops[off as usize + step];
-            let at = block.start.wrapping_add(off).wrapping_add(step as u16);
+        for step in 0..k + split_pair as usize {
+            let at = pc.wrapping_add(step as u16);
+            let instr = self.predecoded[at as usize].expect("a pure run is decoded");
             // Fetch cycle: one broadcast read serves the whole group.
             self.cycle += 1;
             self.lockstep.note_uniform(m as u64);
             self.ixbar.serve_uniform(&active[..m], at, &mut self.imem);
             for &i in &active[..m] {
-                self.cores[i].on_fetch_granted_decoded(op.instr);
+                self.cores[i].on_fetch_granted_decoded(instr);
             }
             if step == k {
                 // The split pair's execute half waits for the next call.
@@ -949,15 +914,7 @@ impl Platform {
                 self.cores[i].complete_execute(None);
             }
         }
-        // The cursor names the op the group executes next (split pair)
-        // or fetches next; past the end of the trace it dies and the next
-        // fetch re-enters through the cache.
-        let next = off + k as u16;
-        let cursor = ((next as usize) < block.len()).then_some((b, next));
-        for &i in &active[..m] {
-            self.cursors[i] = cursor;
-        }
-        self.jit.stats_mut().compiled_cycles += self.cycle - start;
+        self.jit.compiled_cycles += self.cycle - start;
         true
     }
 
@@ -992,7 +949,7 @@ impl Platform {
             sync: self.sync.as_ref().map(|s| *s.stats()),
             lockstep_width_sum: self.lockstep.sum(),
             lockstep_width_cycles: self.lockstep.cycles(),
-            jit: self.jit.stats(),
+            jit: self.jit,
         }
     }
 
@@ -1000,19 +957,11 @@ impl Platform {
 
     /// Captures the complete state of the platform between cycles: cores,
     /// both memories, crossbar arbiters, the synchronizer, the lockstep
-    /// and power-relevant counters, the translation cache, and the state
-    /// of every attached observer that implements
+    /// and power-relevant counters, the compiled tier's counters, and the
+    /// state of every attached observer that implements
     /// [`Observer::save_state`]. Resuming from the checkpoint (on this
     /// platform or a fresh one) is bit-identical to never pausing.
     pub fn snapshot(&self) -> Checkpoint {
-        // Trace cursors are stored as (entry pc, offset): block indices
-        // are allocation order and do not survive the restore-time
-        // retranslation, entry PCs do.
-        let cursors = self
-            .cursors
-            .iter()
-            .map(|cursor| cursor.map(|(block, off)| (self.jit.block(block).start, off)))
-            .collect();
         Checkpoint {
             config: self.cfg.clone(),
             cycle: self.cycle,
@@ -1025,8 +974,7 @@ impl Platform {
             sync: self.sync.as_ref().map(Synchronizer::save),
             lockstep_sum: self.lockstep.sum(),
             lockstep_cycles: self.lockstep.cycles(),
-            jit: self.jit.save(),
-            cursors,
+            jit: self.jit,
             observers: self
                 .attached
                 .iter()
@@ -1054,7 +1002,7 @@ impl Platform {
     /// allocation — the migration path for cached platforms: a worker
     /// takes a platform keyed on the same design and adopts a partially
     /// run job's state. The checkpoint's full configuration (budget,
-    /// tier, thresholds) is adopted; only the *structural* shape (cores,
+    /// tier) is adopted; only the *structural* shape (cores,
     /// memory geometry, synchronizer, serving policy) must already match.
     ///
     /// Checkpointed observer state is matched against attached observers
@@ -1087,7 +1035,7 @@ impl Platform {
         {
             return Err(RestoreError::ConfigMismatch);
         }
-        if ckpt.cores.len() != self.cores.len() || ckpt.cursors.len() != self.cores.len() {
+        if ckpt.cores.len() != self.cores.len() {
             return Err(RestoreError::Corrupt { what: "core count" });
         }
         if ckpt.sync.is_some() != self.sync.is_some() {
@@ -1117,6 +1065,7 @@ impl Platform {
         self.predecoded.clear();
         self.predecoded
             .extend(ckpt.imem.words[..extent].iter().map(|&w| decode(w).ok()));
+        self.refresh_pure_runs();
         if !self.dmem.load_snapshot(&ckpt.dmem) {
             return Err(RestoreError::Corrupt {
                 what: "data memory",
@@ -1139,34 +1088,7 @@ impl Platform {
         self.fault = ckpt.fault;
         self.lockstep
             .restore(ckpt.lockstep_sum, ckpt.lockstep_cycles);
-        // The translation cache re-derives its traces from the restored
-        // IM through the uncounted backdoor, so retranslation leaves the
-        // memory counters untouched and statistics stay bit-identical.
-        if !self.jit.restore_from(&ckpt.jit, &self.imem) {
-            return Err(RestoreError::Corrupt {
-                what: "translation cache",
-            });
-        }
-        self.cursors.clear();
-        for cursor in &ckpt.cursors {
-            let mapped = match cursor {
-                None => None,
-                Some((pc, off)) => {
-                    let idx = self
-                        .jit
-                        .block_index_at(*pc)
-                        .filter(|&block| {
-                            let block = self.jit.block(block);
-                            block.start == *pc && (*off as usize) < block.len()
-                        })
-                        .ok_or(RestoreError::Corrupt {
-                            what: "trace cursor",
-                        })?;
-                    Some((idx, *off))
-                }
-            };
-            self.cursors.push(mapped);
-        }
+        self.jit = ckpt.jit;
         let mut used = vec![false; self.attached.len()];
         for (label, state) in &ckpt.observers {
             let target = self

@@ -547,12 +547,24 @@ fn run_to_end(p: &mut Platform) -> RunEnd {
     (outcome, p.cycle(), p.stats(), p.dm_slice(0, 8 * 2048))
 }
 
-/// The same run decoding every fetched word: with the predecoded table
-/// emptied, every fetch takes the decoding path.
+/// The same run interpreted, decoding every fetched word: with the
+/// predecoded table emptied, every fetch takes the decoding path. The
+/// compiled tier's counters are cleared (a restored run carries them).
 fn run_decoding_every_fetch(p: &mut Platform) -> RunEnd {
+    p.set_exec_tier(ExecTier::Interpreted);
     p.predecoded.clear();
-    run_to_end(p)
+    p.pure_runs.clear();
+    without_jit(run_to_end(p))
 }
+
+/// A run's end with the compiled tier's counters cleared: what must not
+/// differ between tiers.
+fn without_jit(mut end: RunEnd) -> RunEnd {
+    end.2.jit = JitStats::default();
+    end
+}
+
+const TIERS: [ExecTier; 2] = [ExecTier::Interpreted, ExecTier::Compiled];
 
 fn words(src: &str) -> Vec<u16> {
     let program = assemble(src).unwrap_or_else(|e| panic!("asm: {e}"));
@@ -565,35 +577,90 @@ fn words(src: &str) -> Vec<u16> {
 
 #[test]
 fn predecode_follows_load_im_over_a_loaded_program() {
-    let build = || {
-        let mut p = platform(true, BARRIER_LOOP_SRC);
-        p.load_im(0, &words(OTHER_SRC));
-        p
-    };
-    let mut p = build();
-    assert_eq!(p.predecoded.len(), words(BARRIER_LOOP_SRC).len());
-    let end = run_to_end(&mut p);
-    assert!(end.0.is_ok());
-    assert_eq!(end.3[1], 9, "core 0 ran the overwriting kernel");
-    assert_eq!(end, run_decoding_every_fetch(&mut build()));
+    for tier in TIERS {
+        let build = || {
+            let mut p = platform(true, BARRIER_LOOP_SRC);
+            p.set_exec_tier(tier);
+            p.load_im(0, &words(OTHER_SRC));
+            p
+        };
+        let mut p = build();
+        assert_eq!(p.predecoded.len(), words(BARRIER_LOOP_SRC).len());
+        let end = run_to_end(&mut p);
+        assert!(end.0.is_ok());
+        assert_eq!(end.3[1], 9, "core 0 ran the overwriting kernel");
+        assert_eq!(without_jit(end), run_decoding_every_fetch(&mut build()));
+    }
+}
+
+#[test]
+fn pure_runs_end_at_memory_control_and_boundary_ops() {
+    let mut p = platform(
+        true,
+        "       addi r0, #1
+                ld   r1, [r2]
+                addi r0, #1
+                addi r0, #1
+                br   next
+        next:   addi r0, #1
+                sinc #0
+                addi r0, #1
+                halt",
+    );
+    p.load_im(9, &[0x0001, 0x0000]);
+    assert_eq!(p.predecoded[9], None, "an illegal word");
+    assert_eq!(p.pure_runs, [1, 0, 2, 1, 0, 1, 0, 1, 0, 0, 1]);
+}
+
+#[test]
+fn pure_runs_follow_load_im_inside_a_run() {
+    // Word 5 (`add r5, r3`) sits inside the loop's pure run. Overwriting
+    // it with a load must end the batch there; writing it back must
+    // restore the run.
+    let original = words(PURE_THEN_MEM_SRC);
+    let load = words("ld r5, [r2]")[0];
+    for (word, pure) in [(load, false), (original[5], true)] {
+        for tier in TIERS {
+            let build = || {
+                let mut p = platform(false, PURE_THEN_MEM_SRC);
+                p.set_exec_tier(tier);
+                p.load_im(5, &[load]);
+                p.load_im(5, &[word]);
+                p
+            };
+            let mut p = build();
+            assert_eq!(p.pure_runs[4], if pure { 3 } else { 1 });
+            let end = run_to_end(&mut p);
+            assert!(end.0.is_ok());
+            if tier == ExecTier::Compiled {
+                assert!(end.2.jit.compiled_cycles > 0, "{:?}", end.2.jit);
+            }
+            assert_eq!(without_jit(end), run_decoding_every_fetch(&mut build()));
+        }
+    }
 }
 
 #[test]
 fn predecode_is_rebuilt_on_restore_onto_a_platform_that_ran_another_kernel() {
-    let mut recycled = platform(true, BARRIER_LOOP_SRC);
-    recycled.run().unwrap();
+    for tier in TIERS {
+        let mut recycled = platform(true, BARRIER_LOOP_SRC);
+        recycled.set_exec_tier(tier);
+        recycled.run().unwrap();
 
-    let mut source = platform(true, OTHER_SRC);
-    assert!(!source.run_until(6).unwrap().is_done());
-    let ckpt = source.snapshot();
+        let mut source = platform(true, OTHER_SRC);
+        source.set_exec_tier(tier);
+        assert!(!source.run_until(6).unwrap().is_done());
+        let ckpt = source.snapshot();
 
-    recycled.restore_from(&ckpt).unwrap();
-    assert_eq!(recycled.predecoded.len(), words(OTHER_SRC).len());
-    let end = run_to_end(&mut recycled);
-    assert!(end.0.is_ok());
-    assert_eq!(end, run_to_end(&mut source), "resumes like the original");
-    let mut oracle = Platform::restore(&ckpt).unwrap();
-    assert_eq!(end, run_decoding_every_fetch(&mut oracle));
+        recycled.restore_from(&ckpt).unwrap();
+        assert_eq!(recycled.predecoded.len(), words(OTHER_SRC).len());
+        assert_eq!(recycled.pure_runs.len(), words(OTHER_SRC).len());
+        let end = run_to_end(&mut recycled);
+        assert!(end.0.is_ok());
+        assert_eq!(end, run_to_end(&mut source), "resumes like the original");
+        let mut oracle = Platform::restore(&ckpt).unwrap();
+        assert_eq!(without_jit(end), run_decoding_every_fetch(&mut oracle));
+    }
 }
 
 #[test]
@@ -646,19 +713,15 @@ loop:   addi r3, #1
         halt";
 
 /// Manual steps between compiled slices: a compiled slice may pause right
-/// after a batch, leaving the group's cursor on the next op of its trace
+/// after a batch, with the group about to fetch the op after its pure run
 /// (a load, a store or another pure op). A manual `step` then fetches that
 /// op, and the next compiled run must finish it exactly like the
 /// interpreter — a memory op through the D-Xbar, never inside a batch.
 #[test]
 fn manual_step_after_a_compiled_slice_matches_the_interpreter() {
-    let strip = |mut end: RunEnd| {
-        end.2.jit = Default::default();
-        end
-    };
     let golden = {
         let mut p = platform(false, PURE_THEN_MEM_SRC);
-        strip(run_to_end(&mut p))
+        run_to_end(&mut p)
     };
     assert!(golden.0.is_ok());
     let (ld_pc, st_pc) = (7u16, 10u16);
@@ -666,21 +729,60 @@ fn manual_step_after_a_compiled_slice_matches_the_interpreter() {
     for limit in 1..400 {
         let mut p = platform(false, PURE_THEN_MEM_SRC);
         p.set_exec_tier(ExecTier::Compiled);
-        p.jit.set_hot_threshold(1);
         if p.run_until(limit).unwrap().is_done() {
             break;
         }
-        let pc = p.core(0).pc();
-        let on_mem = p.cursors[0].is_some() && p.core(0).state() == CoreState::Fetch;
-        if on_mem && pc == ld_pc {
-            paused_on_mem[0] = true;
-        }
-        if on_mem && pc == st_pc {
-            paused_on_mem[1] = true;
-        }
+        let group_fetches = |at: u16| {
+            (0..p.num_cores())
+                .all(|i| p.core(i).state() == CoreState::Fetch && p.core(i).pc() == at)
+        };
+        paused_on_mem[0] |= group_fetches(ld_pc);
+        paused_on_mem[1] |= group_fetches(st_pc);
         p.step();
-        let end = strip(run_to_end(&mut p));
+        let end = without_jit(run_to_end(&mut p));
         assert_eq!(end, golden, "paused at cycle {limit}");
     }
     assert_eq!(paused_on_mem, [true, true], "a slice paused before each");
+}
+
+/// Runs `src` on two cores whose interrupt line is raised before the run,
+/// in `tier`; returns the run's end and each core's `r3`.
+fn run_with_irq_raised(src: &str, tier: ExecTier) -> (RunEnd, Vec<u16>) {
+    let mut p = Platform::new(PlatformConfig::paper_with_sync().with_cores(2)).unwrap();
+    p.set_exec_tier(tier);
+    p.load_program(&assemble(src).unwrap());
+    p.raise_irq(0);
+    p.raise_irq(1);
+    let end = run_to_end(&mut p);
+    (end, (0..2).map(|i| p.core(i).reg(Reg::R3)).collect())
+}
+
+/// A pending interrupt unmasked by a pure op (`EI`, `WRSR`) is taken at
+/// the next instruction boundary on both tiers: a batch must not run
+/// past it.
+#[test]
+fn interrupt_unmasked_by_a_pure_op_is_taken_at_the_next_boundary() {
+    for unmask in ["ei", "movi r2, #16\n wrsr r2"] {
+        let src = format!(
+            "       br   main
+                    br   isr
+            main:   movi r1, #0
+                    {unmask}
+                    addi r1, #1
+                    addi r1, #1
+                    addi r1, #1
+                    addi r1, #1
+                    halt
+            isr:    add  r3, r1
+                    iret"
+        );
+        let (interpreted, isr_saw) = run_with_irq_raised(&src, ExecTier::Interpreted);
+        assert!(interpreted.0.is_ok());
+        assert_eq!(interpreted.2.core_total.interrupts, 2);
+        assert_eq!(isr_saw, [0, 0], "taken right after {unmask}");
+        let (compiled, compiled_isr_saw) = run_with_irq_raised(&src, ExecTier::Compiled);
+        assert!(compiled.2.jit.compiled_cycles > 0, "{unmask}");
+        assert_eq!(without_jit(compiled), interpreted, "{unmask}");
+        assert_eq!(compiled_isr_saw, isr_saw, "{unmask}");
+    }
 }

@@ -1,9 +1,49 @@
 //! Aggregated simulation statistics — the inputs to the power model.
 
 use ulp_cpu::CoreStats;
-use ulp_jit::JitStats;
 use ulp_mem::{DXbarStats, IXbarStats, MemStats};
 use ulp_sync::SyncStats;
+
+/// Per-run counters of the compiled tier, reported in [`SimStats::jit`].
+///
+/// All zero for interpreted runs. For compiled runs,
+/// `compiled_cycles + fallback_cycles` equals the run's total cycles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JitStats {
+    /// Always 0: the compiled tier has no translation cache. Kept while
+    /// the repository benchmark still reports it.
+    pub translations: u64,
+    /// Always 0, like [`JitStats::translations`].
+    pub hits: u64,
+    /// Cycles executed inside uniform lockstep batches — the only cycles
+    /// the compiled tier runs without the interpreter.
+    pub compiled_cycles: u64,
+    /// Cycles run by the interpreter (cores not in uniform lockstep,
+    /// fidelity boundaries, observer-attached cycles).
+    pub fallback_cycles: u64,
+}
+
+impl JitStats {
+    /// Adds another run's counters into this one (multi-run aggregates,
+    /// e.g. summing shard statistics). Kept next to the fields so a new
+    /// counter cannot be forgotten here.
+    pub fn merge(&mut self, other: &JitStats) {
+        self.translations += other.translations;
+        self.hits += other.hits;
+        self.compiled_cycles += other.compiled_cycles;
+        self.fallback_cycles += other.fallback_cycles;
+    }
+
+    /// Fraction of cycles executed by the compiled tier (0.0 for
+    /// interpreted runs).
+    pub fn compiled_fraction(&self) -> f64 {
+        let total = self.compiled_cycles + self.fallback_cycles;
+        if total == 0 {
+            return 0.0;
+        }
+        self.compiled_cycles as f64 / total as f64
+    }
+}
 
 /// Everything the power model and the experiment harness need to know
 /// about one simulation run.

@@ -123,7 +123,7 @@ pub struct JobSpec {
     /// accounting). Defaults to [`TenantId::DEFAULT`].
     pub tenant: TenantId,
     /// Execution tier of the platform run: the interpreter by default, or
-    /// the compiled hot-block tier — bit-identical results, faster on
+    /// the compiled tier — bit-identical results, faster on
     /// lockstep-heavy kernels.
     pub exec_tier: ExecTier,
     /// Checkpoint cadence in simulated cycles. When set, the executing

@@ -875,8 +875,6 @@ struct ServiceMetrics {
     checkpoint_cycles: Histogram,
     queue_wait_us: Histogram,
     run_us: Histogram,
-    jit_translations: Counter,
-    jit_hits: Counter,
     jit_compiled_cycles: Counter,
     jit_fallback_cycles: Counter,
 }
@@ -899,8 +897,6 @@ impl ServiceMetrics {
             checkpoint_cycles: telemetry.histogram("service_checkpoint_cycles"),
             queue_wait_us: telemetry.histogram("service_queue_wait_us"),
             run_us: telemetry.histogram("service_run_us"),
-            jit_translations: telemetry.counter("jit_translations"),
-            jit_hits: telemetry.counter("jit_hits"),
             jit_compiled_cycles: telemetry.counter("jit_compiled_cycles"),
             jit_fallback_cycles: telemetry.counter("jit_fallback_cycles"),
         }
@@ -1751,8 +1747,6 @@ fn worker_loop(me: usize, shared: &Shared, results: &mpsc::Sender<Message>) {
         shared.metrics.jobs_completed.inc();
         if let Ok(out) = &outcome {
             let jit = &out.run.stats.jit;
-            shared.metrics.jit_translations.add(jit.translations);
-            shared.metrics.jit_hits.add(jit.hits);
             shared.metrics.jit_compiled_cycles.add(jit.compiled_cycles);
             shared.metrics.jit_fallback_cycles.add(jit.fallback_cycles);
         }
@@ -1866,8 +1860,7 @@ fn cached_platform<'c>(
             let platform = e.into_mut();
             // Reused platforms keep their allocations but must adopt this
             // job's cycle budget and execution tier — both differ across
-            // jobs. The translation cache survives, so a compiled-tier job
-            // landing on a warm platform reuses the existing traces.
+            // jobs.
             platform.set_max_cycles(spec.workload.max_cycles);
             platform.set_exec_tier(spec.exec_tier);
             Ok((true, platform))

@@ -31,7 +31,6 @@
 pub use ulp_biosignal as biosignal;
 pub use ulp_cpu as cpu;
 pub use ulp_isa as isa;
-pub use ulp_jit as jit;
 pub use ulp_kernels as kernels;
 pub use ulp_mem as mem;
 pub use ulp_platform as platform;

@@ -106,10 +106,8 @@ fn steady_state_step_performs_zero_heap_allocations() {
         "barrier sleeps exercised"
     );
 
-    // The compiled tier replays cycles through cached traces; once the
-    // hot blocks are translated (warm-up), tiered stepping is also
-    // allocation-free — both its compiled cycles and its interpreter
-    // fallback cycles.
+    // Past the warm-up, tiered stepping is also allocation-free — both
+    // its uniform lockstep batches and its interpreter fallback cycles.
     let cfg = PlatformConfig::paper_with_sync()
         .with_max_cycles(u64::MAX)
         .with_exec_tier(ExecTier::Compiled);

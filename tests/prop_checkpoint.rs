@@ -99,12 +99,10 @@ fn capture(p: &Platform) -> MachineState {
 }
 
 fn config(tier: ExecTier, cores: usize) -> PlatformConfig {
-    let mut cfg = PlatformConfig::paper(true)
+    PlatformConfig::paper(true)
         .with_cores(cores)
         .with_max_cycles(2_000_000)
-        .with_exec_tier(tier);
-    cfg.jit_hot_threshold = 2;
-    cfg
+        .with_exec_tier(tier)
 }
 
 /// Golden uninterrupted run of `words`.
@@ -158,9 +156,9 @@ proptest! {
     }
 }
 
-/// A hot lockstep loop checkpointed at *every* cycle of its run: the
-/// compiled tier's translation cache, hotness counters and in-flight
-/// trace cursors all survive snapshot/restore bit-exactly.
+/// A lockstep loop checkpointed at *every* cycle of its run: the compiled
+/// tier's counters and fetch/execute pairs split by the pause survive
+/// snapshot/restore bit-exactly.
 #[test]
 fn compiled_loop_survives_checkpoint_at_every_cycle() {
     let src = "
@@ -172,8 +170,7 @@ fn compiled_loop_survives_checkpoint_at_every_cycle() {
         halt
     ";
     let program = ulp_lockstep::isa::asm::assemble(src).expect("valid asm");
-    let mut cfg = PlatformConfig::paper_with_sync().with_exec_tier(ExecTier::Compiled);
-    cfg.jit_hot_threshold = 2;
+    let cfg = PlatformConfig::paper_with_sync().with_exec_tier(ExecTier::Compiled);
 
     let mut p = Platform::new(cfg.clone()).expect("valid config");
     p.load_program(&program);
@@ -183,7 +180,6 @@ fn compiled_loop_survives_checkpoint_at_every_cycle() {
         reference.stats.jit.compiled_cycles > 0,
         "loop runs compiled"
     );
-    assert!(reference.stats.jit.hits > 0, "trace is reused");
 
     for pause in 1..reference.cycles {
         let mut q = Platform::new(cfg.clone()).expect("valid config");
@@ -224,8 +220,7 @@ fn restore_in_place_onto_recycled_platform() {
     )
     .expect("valid asm");
 
-    let mut cfg = PlatformConfig::paper_with_sync().with_exec_tier(ExecTier::Compiled);
-    cfg.jit_hot_threshold = 2;
+    let cfg = PlatformConfig::paper_with_sync().with_exec_tier(ExecTier::Compiled);
 
     let mut p = Platform::new(cfg.clone()).expect("valid config");
     p.load_program(&job);
@@ -240,7 +235,7 @@ fn restore_in_place_onto_recycled_platform() {
     ));
     let ckpt = q.snapshot();
 
-    // The adopting platform has run (and translated) something else.
+    // The adopting platform has run something else.
     let mut r = Platform::new(cfg).expect("valid config");
     r.load_program(&other);
     r.run().expect("other program terminates");
